@@ -184,21 +184,6 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
-    """E-function of (f, G) summed sector by sector from basis monomials."""
-    half = Fraction(f.n, 2)
-    terms: dict[tuple[Fraction, Fraction], int] = {}
-    for sec in sectors(f, G):
-        ng = sec.n_fixed
-        sign = -1 if ng % 2 else 1
-        age = sec.g.age
-        for m in sec.monomials:
-            key = (age + ng - m.ell - half, age + m.ell - half)
-            terms[key] = terms.get(key, 0) + sign
-    return BiExpPolynomial(terms)
-
-
 def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     """Bigraded dimensions split by sector parity (even = n_g even)."""
     entries: dict[tuple[Fraction, Fraction], tuple[int, int]] = {}
@@ -211,6 +196,15 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
             de, do = entries.get(key, (0, 0))
             entries[key] = (de + 1 - odd, do + odd)
     return HodgeTable(f.n, entries)
+
+
+@lru_cache(maxsize=None)
+def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
+    """E-function of (f, G): each Hodge-table entry (p, q) -> (even, odd)
+    becomes the term t^(p - n/2) * tb^(q - n/2) with coefficient even - odd."""
+    half = Fraction(f.n, 2)
+    entries = hodge_table(f, G).entries
+    return BiExpPolynomial({(p - half, q - half): de - do for (p, q), (de, do) in entries.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,13 @@ def cmd_pairs(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.corpus_file is not None:
-        with open(args.corpus_file, "r", encoding="utf-8") as fh:
-            entries = parse_corpus(fh.read())
+        try:
+            with open(args.corpus_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"error: cannot read corpus file: {exc}", file=sys.stderr)
+            return 1
+        entries = parse_corpus(text)
     else:
         entries = default_corpus()
     if not entries:

@@ -372,10 +372,6 @@ def hodge_from_efunction(P: BiExpPolynomial, n: int) -> HodgeTable:
     return HodgeTable(n, entries)
 
 
-def chi(P: BiExpPolynomial) -> int:
-    return P.chi()
-
-
 def exponents(table: HodgeTable) -> tuple[Fraction, ...]:
     """Multiset of q-degrees, one per unit of h^{p,q}, sorted.  Meaningful for
     pairs whose group contains the grading operator (caller-checked)."""

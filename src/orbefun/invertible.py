@@ -351,10 +351,6 @@ def atom_polynomial(kind: str, a: Sequence[int], variables: Sequence[str] | None
     return from_exponent_matrix(tuple(rows), variables)
 
 
-def decompose(f: InvertiblePolynomial) -> tuple[Atom, ...]:
-    return f.atoms
-
-
 @lru_cache(maxsize=None)
 def determinant(f: InvertiblePolynomial) -> int:
     d = ratlinalg.determinant(f.exponents)

@@ -16,6 +16,10 @@ its annihilator under this pairing,
     dual_group(f, G) = { h in G_ft : <g, h> = 0 for all g in G },
 
 of order det E / |G|, and dualizing twice returns G.
+
+Subgroups are enumerated one coset at a time by `_extend`.  A subgroup listed
+from its elements carries as `generators` the greedy lexicographic choice that
+the CLI prints: each element, in sorted order, not generated by those before it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputSyntaxError, MembershipError
+from .errors import DomainError, InputSyntaxError, MembershipError, VerificationError
 from .invertible import InvertiblePolynomial, determinant, exponent_inverse, transpose, weights
 
 
@@ -36,6 +40,8 @@ class GroupElement:
     comps: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if any(isinstance(c, float) for c in self.comps):
+            raise TypeError(f"group element components must be exact, got {self.comps!r}")
         object.__setattr__(self, "comps", tuple(Fraction(c) % 1 for c in self.comps))
 
     @property
@@ -115,18 +121,25 @@ class AbelianSubgroup:
         return f"<{gens}> of order {self.order}"
 
 
-def closure(n: int, gens: Iterable[GroupElement]) -> frozenset[GroupElement]:
-    elems = {identity(n)}
-    frontier = [identity(n)]
-    gens = tuple(gens)
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            s = e + g
-            if s not in elems:
-                elems.add(s)
-                frontier.append(s)
+def _extend(H: frozenset[GroupElement], g: GroupElement) -> frozenset[GroupElement]:
+    """The subgroup generated by the subgroup H and the element g.
+
+    Precondition: H is a subgroup.  Its cosets are then equal or disjoint, so
+    H, H+g, H+2g, ... is complete at the first multiple of g already present.
+    """
+    elems = set(H)
+    step = g
+    while step not in elems:
+        elems.update(h + step for h in H)
+        step = step + g
     return frozenset(elems)
+
+
+def closure(n: int, gens: Iterable[GroupElement]) -> frozenset[GroupElement]:
+    elems = frozenset({identity(n)})
+    for g in gens:
+        elems = _extend(elems, g)
+    return elems
 
 
 @lru_cache(maxsize=None)
@@ -136,11 +149,11 @@ def sorted_elements(G: AbelianSubgroup) -> tuple[GroupElement, ...]:
 
 def _reduce_generators(n: int, elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     gens: list[GroupElement] = []
-    known = {identity(n)}
+    known = frozenset({identity(n)})
     for e in sorted(elements):
         if e not in known:
             gens.append(e)
-            known = set(closure(n, gens))
+            known = _extend(known, e)
     return tuple(gens)
 
 
@@ -167,8 +180,9 @@ def gf_group(f: InvertiblePolynomial) -> AbelianSubgroup:
     cols = tuple(zip(*exponent_inverse(f))) if f.n else ()
     gens = tuple(dict.fromkeys(GroupElement(col) for col in cols))
     elems = closure(f.n, gens)
-    assert len(elems) == determinant(f)
-    return AbelianSubgroup(f, _reduce_generators(f.n, elems), elems)
+    if len(elems) != determinant(f):
+        raise VerificationError(f"|G_f| = {len(elems)} but det E = {determinant(f)} for {f.to_text()}")
+    return _from_elements(f, elems)
 
 
 def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSubgroup:
@@ -188,7 +202,8 @@ def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSu
 def grading_operator(f: InvertiblePolynomial) -> GroupElement:
     """The exponential grading operator g0 = (q_1, ..., q_n)."""
     g0 = GroupElement(weights(f).q)
-    assert gf_contains(f, g0)
+    if not gf_contains(f, g0):
+        raise VerificationError(f"grading operator {format_element(g0)} is not in G_f")
     return g0
 
 
@@ -215,14 +230,16 @@ def pairing(f: InvertiblePolynomial, g: GroupElement, h: GroupElement) -> Fracti
 @lru_cache(maxsize=None)
 def dual_group(f: InvertiblePolynomial, G: AbelianSubgroup) -> AbelianSubgroup:
     """Annihilator of G inside the symmetry group of the transpose."""
-    assert G.ambient == f
+    if G.ambient != f:
+        raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     ft = transpose(f)
     # E*g is integral for g in G_f, so the pairing against h reduces to an
     # integer-vector dot product with the components of h.
     vecs = []
     for g in G.generators:
         eg = [sum(e * c for e, c in zip(row, g.comps)) for row in f.exponents]
-        assert all(v.denominator == 1 for v in eg)
+        if any(v.denominator != 1 for v in eg):
+            raise VerificationError(f"E*g is not integral for the generator {format_element(g)}")
         vecs.append([int(v) for v in eg])
     elems = [
         h
@@ -242,16 +259,7 @@ def all_subgroups(G: AbelianSubgroup) -> tuple[AbelianSubgroup, ...]:
         for e in G.elements:
             if e in base:
                 continue
-            extended = set(base)
-            new = [e]
-            while new:
-                x = new.pop()
-                for y in tuple(extended):
-                    s = x + y
-                    if s not in extended:
-                        extended.add(s)
-                        new.append(s)
-            fs = frozenset(extended)
+            fs = _extend(base, e)
             if fs not in seen:
                 seen.add(fs)
                 frontier.append(fs)
@@ -292,8 +300,8 @@ def parse_element(text: str, n: int) -> GroupElement:
 
 
 def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
-    """Resolve a group specification: 'trivial', 'Gf', 'G0', 'SL', or
-    a comma-separated list of generators '1/r(a1,...,an)'."""
+    """Resolve a group specification: 'trivial', 'Gf', 'G0', 'SL', or a list
+    of generators '1/r(a1,...,an)' separated by commas or by whitespace."""
     s = spec.strip()
     if s == "trivial":
         return subgroup(f, ())

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from orbefun import (
     atom_basis,
-    decompose,
     degree_counts,
     efunction_basis,
     expected_multiplicity,
@@ -47,11 +46,11 @@ def test_chain_exclusion_pattern():
 
 
 def test_atom_basis_counts():
-    fermat = decompose(parse_polynomial("x^4"))[0]
+    fermat = parse_polynomial("x^4").atoms[0]
     assert len(atom_basis(fermat)) == 3
-    chain = decompose(parse_polynomial("x^3*y + y^2"))[0]
+    chain = parse_polynomial("x^3*y + y^2").atoms[0]
     assert len(atom_basis(chain)) == 5
-    loop = decompose(parse_polynomial("x^2*y + y^2*x"))[0]
+    loop = parse_polynomial("x^2*y + y^2*x").atoms[0]
     assert len(atom_basis(loop)) == 4  # loops keep the full box
 
 

@@ -149,6 +149,14 @@ def test_corpus_file_empty(tmp_path, capsys):
     assert "0 entries" in out + err
 
 
+def test_corpus_file_missing(tmp_path, capsys):
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(tmp_path / "absent.corpus"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_corpus_expectation_mismatch_names_entry(tmp_path, capsys):
     p = tmp_path / "bad.corpus"
     p.write_text('victim ; x^3 ; Gf ; {"chi": 7}\n')
@@ -176,3 +184,15 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(t*tb)^(-1/6) + (t*tb)^(1/6)"
+
+
+def test_corpus_unchanged_under_optimize(capsys):
+    # theorem checks are explicit errors, not asserts that -O strips
+    code, out, _ = run(capsys, "corpus")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "orbefun", "corpus"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

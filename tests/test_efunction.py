@@ -14,7 +14,6 @@ from orbefun import (
     ModeError,
     central_charge,
     check_duality,
-    chi,
     e_to_hodge,
     exponent_mean,
     exponents,
@@ -59,7 +58,6 @@ def test_invert_t_is_an_involution():
 def test_chi_is_signed_coefficient_sum():
     P = _poly((F(-1, 2), F(-1, 2), 1), (0, 0, 4), (F(1, 2), F(1, 2), 1))
     assert P.chi() == 6
-    assert chi(P) == 6
 
 
 def test_to_text_canonical_form():

@@ -11,7 +11,6 @@ from orbefun import (
     InputSyntaxError,
     NotDecomposableError,
     NotInvertibleError,
-    decompose,
     determinant,
     exponent_inverse,
     from_exponent_matrix,
@@ -165,7 +164,7 @@ def test_empty_restriction():
 
 def test_decompose_matches_atoms():
     f = parse_polynomial("x^3*y + y^2 + z^2*w + w^2*z")
-    kinds = [(a.kind, a.a) for a in decompose(f)]
+    kinds = [(a.kind, a.a) for a in f.atoms]
     assert kinds == [("chain", (3, 2)), ("loop", (2, 2))]
 
 

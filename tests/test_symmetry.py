@@ -26,6 +26,7 @@ from orbefun import (
     transpose,
 )
 from orbefun.symmetry import GroupElement, closure, sorted_elements
+import reference_symmetry as ref
 from strategies import polynomials, symmetric_pairs
 
 F = Fraction
@@ -59,6 +60,13 @@ def test_format_parse_round_trip():
         assert format_element(g) == text
     with pytest.raises(DomainError):
         parse_element("1/4(1)", 2)  # wrong arity
+
+
+def test_element_rejects_float_components():
+    with pytest.raises(TypeError):
+        GroupElement((0.1,))
+    with pytest.raises(TypeError):
+        GroupElement((F(1, 2), 0.5))
 
 
 def test_closure_generates_cyclic_group():
@@ -123,6 +131,13 @@ def test_dual_group_examples():
     assert dual_group(f, subgroup(f, ())).order == 16
 
 
+def test_dual_group_rejects_mismatched_pair():
+    f = parse_polynomial("x^4 + y^4")
+    G = gf_group(parse_polynomial("x^3 + y^3"))
+    with pytest.raises(DomainError):
+        dual_group(f, G)
+
+
 def test_dual_of_grading_subgroup_is_sl_of_transpose():
     for text in ("x^3*y + y^2", "x^4 + y^4", "x^2*y + y^2*z + z^3"):
         f = parse_polynomial(text)
@@ -180,3 +195,28 @@ def test_identity_and_age_bounds(f):
         assert 0 <= g.age <= f.n
         assert g.age + (-g).age == f.n - g.n_fixed
         assert (g.is_identity) == (g == identity(f.n))
+
+
+def _same_group(H, R):
+    assert H.elements == R.elements
+    assert H.generators == R.generators
+
+
+@settings(max_examples=25, deadline=None)
+@given(symmetric_pairs())
+def test_groups_match_reference_enumeration(fG):
+    f, G = fG
+    _same_group(gf_group(f), ref.gf_group(f))
+    _same_group(G, ref.subgroup(f, G.generators))
+    _same_group(dual_group(f, G), ref.dual_group(f, G))
+    _same_group(sl_subgroup(f), ref.sl_subgroup(f))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polynomials(max_vars=2))
+def test_all_subgroups_match_reference_enumeration(f):
+    subs = all_subgroups(gf_group(f))
+    expected = ref.all_subgroups(ref.gf_group(f))
+    assert len(subs) == len(expected)
+    for H, R in zip(subs, expected):
+        _same_group(H, R)
