@@ -9,7 +9,11 @@ G-invariant basis monomials are placed on the Hodge diamond by
     (p, q) = (age(g) + n_g - l, age(g) + l),     parity (-1)^(n_g),
 
 with n_g the number of fixed coordinates.  Summing sectors gives the Hodge
-table and, with sign (-1)^(n_g), the E-function.
+table and, with sign (-1)^(n_g), the E-function.  The invariant monomials
+depend on g only through its fixed locus I, so the sum runs as
+sum_I A_I * S_I: the basis of f restricted to I is filtered once per locus
+(S_I), then placed once for each age of the locus, weighted by the number
+of elements A_I of that age (`symmetry.locus_ages`).
 
 The same basis carries a combinatorial map into the symmetry group of the
 transposed polynomial: k |-> psi(k) = fractional part of (k+1)^T * E^(-1).
@@ -25,8 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 from .efunction import BiExpPolynomial, HodgeTable
+from .errors import DomainError, VerificationError
 from .invertible import (
     Atom,
     InvertiblePolynomial,
@@ -43,8 +50,10 @@ from .symmetry import (
     character_data,
     character_invariant,
     dual_group,
+    format_element,
     gf_group,
     identity,
+    locus_ages,
     sorted_elements,
 )
 
@@ -105,7 +114,10 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
         ell = sum((q[i] * (exps[i] + 1) for i in range(f.n)), Fraction(0))
         out.append(BasisMonomial(tuple(exps), ell))
     out.sort()
-    assert len(out) == milnor_number(f)
+    if len(out) != milnor_number(f):
+        raise VerificationError(
+            f"{len(out)} basis monomials but Milnor number {milnor_number(f)} for {f.to_text()}"
+        )
     return tuple(out)
 
 
@@ -164,37 +176,58 @@ class SectorContribution:
         return len(self.fixed)
 
 
+def _invariant_basis(
+    fsub: InvertiblePolynomial, chardata: tuple[tuple[int, tuple[int, ...]], ...]
+) -> tuple[BasisMonomial, ...]:
+    """The basis monomials k of fsub whose character k + 1 is G-invariant."""
+    return tuple(
+        m for m in milnor_basis(fsub) if character_invariant(chardata, [e + 1 for e in m.exps])
+    )
+
+
+@lru_cache(maxsize=None)
+def locus_bases(
+    f: InvertiblePolynomial, G: AbelianSubgroup
+) -> Mapping[tuple[int, ...], tuple[BasisMonomial, ...]]:
+    """Fixed locus I of G -> G-invariant basis monomials of f restricted to I,
+    filtered once per locus (a cached, read-only map)."""
+    if G.ambient != f:
+        raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
+    qf = weights(f).q
+    out = {}
+    for fixed in locus_ages(G):
+        fsub = restrict(f, fixed)
+        if fsub.n and weights(fsub).q != tuple(qf[i] for i in fixed):
+            raise VerificationError(f"weights of {fsub.to_text()} are not those of {f.to_text()}")
+        out[fixed] = _invariant_basis(fsub, character_data(G, fixed))
+    return MappingProxyType(out)
+
+
 @lru_cache(maxsize=None)
 def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribution, ...]:
-    assert G.ambient == f
-    qf = weights(f).q
+    """Every element of G, in sorted order, with its invariant monomials."""
+    bases = locus_bases(f, G)
     out = []
     for g in sorted_elements(G):
         fixed = g.fixed_indices()
-        fsub = restrict(f, fixed)
-        if fsub.n:
-            assert weights(fsub).q == tuple(qf[i] for i in fixed)
-        chardata = character_data(G, fixed)
-        mons = tuple(
-            m
-            for m in milnor_basis(fsub)
-            if character_invariant(chardata, [e + 1 for e in m.exps])
-        )
-        out.append(SectorContribution(g, fixed, mons))
+        out.append(SectorContribution(g, fixed, bases[fixed]))
     return tuple(out)
 
 
 def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
-    """Bigraded dimensions split by sector parity (even = n_g even)."""
+    """Bigraded dimensions split by sector parity (even = n_g even), summed
+    over fixed loci and, within each, over ages weighted by their counts."""
+    bases = locus_bases(f, G)
     entries: dict[tuple[Fraction, Fraction], tuple[int, int]] = {}
-    for sec in sectors(f, G):
-        ng = sec.n_fixed
+    for fixed, ages in locus_ages(G).items():
+        ng = len(fixed)
         odd = ng % 2
-        age = sec.g.age
-        for m in sec.monomials:
-            key = (age + ng - m.ell, age + m.ell)
-            de, do = entries.get(key, (0, 0))
-            entries[key] = (de + 1 - odd, do + odd)
+        degrees = Counter(m.ell for m in bases[fixed])
+        for age, count in ages.items():
+            for ell, k in degrees.items():
+                key = (age + ng - ell, age + ell)
+                de, do = entries.get(key, (0, 0))
+                entries[key] = (de + count * k * (1 - odd), do + count * k * odd)
     return HodgeTable(f.n, entries)
 
 
@@ -272,7 +305,10 @@ def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
             for j, i in enumerate(sec.fixed):
                 comps[i] = h.comps[j]
             gt = GroupElement(tuple(comps))
-            assert gt in Gd
+            if gt not in Gd:
+                raise VerificationError(
+                    f"psi image {format_element(gt)} is not in the dual group {Gd}"
+                )
             key = (sec.g, gt)
             rows[key] = rows.get(key, 0) + 1
     return PairTable(rows)

@@ -330,18 +330,17 @@ def cmd_corpus(args) -> int:
     results = run_corpus(entries)
     all_ok = all(r.ok for r in results)
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "entries": [
-                        {"name": r.entry.name, "checks": r.statuses, "ok": r.ok}
-                        for r in results
-                    ],
-                    "pass": all_ok,
-                }
-            )
-        )
+        rows = []
+        for r in results:
+            row = {"name": r.entry.name, "checks": r.statuses, "ok": r.ok}
+            if r.error is not None:
+                row["error"] = r.error
+            rows.append(row)
+        print(json.dumps({"entries": rows, "pass": all_ok}))
         return 0 if all_ok else 4
+    for r in results:
+        if r.error is not None:
+            print(f"error: {r.entry.name}: {r.error}", file=sys.stderr)
     width = max(len(r.entry.name) for r in results)
     header = "entry".ljust(width) + "  " + "  ".join(c.ljust(8) for c in CHECKS)
     print(header)

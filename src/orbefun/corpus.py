@@ -38,7 +38,7 @@ from .efunction import (
     exponent_mean,
     variance,
 )
-from .errors import InputSyntaxError
+from .errors import InputSyntaxError, OrbefunError
 from .invertible import (
     InvertiblePolynomial,
     determinant,
@@ -89,12 +89,16 @@ class CorpusEntry:
 
 @dataclass(frozen=True, eq=False)
 class EntryResult:
+    """The status of every check for one entry: PASS, FAIL, "-" (does not
+    apply) or ERROR (the entry itself is invalid; `error` says why)."""
+
     entry: CorpusEntry
     statuses: dict[str, str]
+    error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return all(v != "FAIL" for v in self.statuses.values())
+        return all(v not in ("FAIL", "ERROR") for v in self.statuses.values())
 
 
 def _pf(ok: bool) -> str:
@@ -102,6 +106,15 @@ def _pf(ok: bool) -> str:
 
 
 def run_entry(entry: CorpusEntry) -> EntryResult:
+    """Run the battery on one entry; an entry that raises an OrbefunError
+    gets ERROR in every column, so the rest of the corpus still runs."""
+    try:
+        return _run_checks(entry)
+    except OrbefunError as exc:
+        return EntryResult(entry, dict.fromkeys(CHECKS, "ERROR"), str(exc))
+
+
+def _run_checks(entry: CorpusEntry) -> EntryResult:
     f = parse_polynomial(entry.poly)
     G = parse_group_spec(f, entry.group)
     st: dict[str, str] = {}
@@ -124,22 +137,23 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
     g0 = grading_operator(f)
     in_sl = all(is_in_sl(g) for g in G.generators)
     has_g0 = g0 in G
-    if in_sl or has_g0:
+    exp = entry.expectations
+    table = None
+    if in_sl or has_g0 or (exp and "variance" in exp):
         table = hodge_table(f, G)
+    if in_sl or has_g0:
         st["parity"] = _pf(
             all(de == 0 or do == 0 for de, do in table.entries.values())
         )
     else:
         st["parity"] = "-"
     if has_g0:
-        table = hodge_table(f, G)
         ok = variance(table) == central_charge(f) * Eb.chi() / 12
         ok = ok and exponent_mean(table) == 0
         st["variance"] = _pf(ok)
     else:
         st["variance"] = "-"
 
-    exp = entry.expectations
     if exp:
         ok = True
         if "efunction" in exp:
@@ -147,7 +161,7 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
         if "chi" in exp:
             ok = ok and Eb.chi() == int(exp["chi"])
         if "variance" in exp:
-            ok = ok and variance(hodge_table(f, G)) == Fraction(str(exp["variance"]))
+            ok = ok and variance(table) == Fraction(str(exp["variance"]))
         st["expect"] = _pf(ok)
     else:
         st["expect"] = "-"

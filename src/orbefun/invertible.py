@@ -37,9 +37,11 @@ from typing import Iterable, Sequence
 from . import ratlinalg
 from .errors import (
     CoefficientWarning,
+    DomainError,
     InputSyntaxError,
     NotDecomposableError,
     NotInvertibleError,
+    VerificationError,
 )
 
 _DEFAULT_NAMES = ("x", "y", "z", "w")
@@ -59,8 +61,12 @@ class Atom:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.kind in ("chain", "loop")
-        assert len(self.var_indices) == len(self.a)
+        if self.kind not in ("chain", "loop"):
+            raise DomainError(f"atom kind must be 'chain' or 'loop', got {self.kind!r}")
+        if len(self.var_indices) != len(self.a):
+            raise DomainError(
+                f"atom has {len(self.var_indices)} variables but {len(self.a)} exponents"
+            )
 
     @property
     def size(self) -> int:
@@ -325,14 +331,16 @@ def from_exponent_matrix(
             visited[j] = True
             cycle.append(j)
             j = succ[j]
-            assert j is not None
+            if j is None:
+                raise VerificationError("a variable outside every chain has no successor")
             if j == start:
                 break
         atoms.append(Atom("loop", tuple(cycle), tuple(exponents[v][v] for v in cycle)))
     atoms.sort(key=lambda atom: min(atom.var_indices))
 
     f = InvertiblePolynomial(n, exponents, variables, tuple(atoms))
-    assert determinant(f) > 0
+    if determinant(f) <= 0:
+        raise VerificationError(f"det E = {determinant(f)} is not positive for {f.to_text()}")
     return f
 
 
@@ -354,7 +362,8 @@ def atom_polynomial(kind: str, a: Sequence[int], variables: Sequence[str] | None
 @lru_cache(maxsize=None)
 def determinant(f: InvertiblePolynomial) -> int:
     d = ratlinalg.determinant(f.exponents)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise VerificationError(f"det E = {d} is not an integer")
     return int(d)
 
 
@@ -390,9 +399,11 @@ def weights(f: InvertiblePolynomial) -> WeightSystem:
             for idx, val in zip(atom.var_indices, vals):
                 q[idx] = val
     qt = tuple(q)  # type: ignore[arg-type]
-    assert all(qi is not None and 0 < qi <= Fraction(1, 2) for qi in qt)
+    if not all(qi is not None and 0 < qi <= Fraction(1, 2) for qi in qt):
+        raise VerificationError(f"weights of {f.to_text()} are not all in (0, 1/2]")
     for row in f.exponents:
-        assert sum(e * qi for e, qi in zip(row, qt)) == 1
+        if sum(e * qi for e, qi in zip(row, qt)) != 1:
+            raise VerificationError(f"weights of {f.to_text()} do not solve E*q = 1")
     d = lcm(*(qi.denominator for qi in qt)) if qt else 1
     return WeightSystem(qt, d)
 
@@ -400,7 +411,8 @@ def weights(f: InvertiblePolynomial) -> WeightSystem:
 @lru_cache(maxsize=None)
 def milnor_number(f: InvertiblePolynomial) -> int:
     mu = prod((1 / qi - 1 for qi in weights(f).q), start=Fraction(1))
-    assert mu.denominator == 1 and mu >= 1
+    if mu.denominator != 1 or mu < 1:
+        raise VerificationError(f"Milnor number {mu} of {f.to_text()} is not a positive integer")
     return int(mu)
 
 

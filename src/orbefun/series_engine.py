@@ -20,6 +20,11 @@ and the invariant part is supported in y-degrees <= sum_i (1 - q_i) - n_g/2,
 so tuples and binomial terms beyond that bound are never materialized.  All
 exponent arithmetic runs on integers after scaling by a common denominator;
 character sums are accumulated along the recursion, once per branch.
+
+The projected series depends on g only through its fixed locus I, and the
+prefactor only through its age, so E(f, G) = sum_I A_I(t*tb) * S_I(tb/t):
+one walk per locus (S_I), scaled by the number of elements of each age in
+that locus (A_I, from `symmetry.locus_ages`).
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .efunction import BiExpPolynomial
+from .errors import DomainError
 from .invertible import InvertiblePolynomial, weights
-from .symmetry import AbelianSubgroup, character_data, sorted_elements
+from .symmetry import AbelianSubgroup, character_data, locus_ages
 
 
 def _invariant_sector_series(
@@ -90,21 +96,22 @@ def _invariant_sector_series(
 
 @lru_cache(maxsize=None)
 def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
-    """E-function of (f, G) from the projected series, sector by sector."""
-    assert G.ambient == f
+    """E-function of (f, G) from the projected series, one walk per fixed locus."""
+    if G.ambient != f:
+        raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     qf = weights(f).q
     terms: dict[tuple[Fraction, Fraction], int] = {}
-    for g in sorted_elements(G):
-        fixed = g.fixed_indices()
-        prefactor = g.age - Fraction(f.n - len(fixed), 2)
+    for fixed, ages in locus_ages(G).items():
         inner = _invariant_sector_series(
             tuple(qf[i] for i in fixed), character_data(G, fixed)
         )
-        for e, coeff in inner.items():
-            key = (prefactor - e, prefactor + e)
-            val = terms.get(key, 0) + coeff
-            if val:
-                terms[key] = val
-            elif key in terms:
-                del terms[key]
+        for age, count in ages.items():
+            prefactor = age - Fraction(f.n - len(fixed), 2)
+            for e, coeff in inner.items():
+                key = (prefactor - e, prefactor + e)
+                val = terms.get(key, 0) + count * coeff
+                if val:
+                    terms[key] = val
+                elif key in terms:
+                    del terms[key]
     return BiExpPolynomial(terms)

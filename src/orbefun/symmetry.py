@@ -1,8 +1,11 @@
 """Finite diagonal symmetry groups of invertible polynomials.
 
-A group element is a vector in (Q/Z)^n stored by canonical representatives
-in [0,1); component c_i acts on coordinate i by the root of unity e[c_i] =
-exp(2*pi*i*c_i).  The maximal diagonal symmetry group of f is
+A group element is a vector in (Q/Z)^n; component c_i acts on coordinate i
+by the root of unity e[c_i] = exp(2*pi*i*c_i).  It is stored in integers:
+its order r and numerators a with c_i = a_i / r, 0 <= a_i < r and
+gcd(r, a_1, ..., a_n) = 1.  This form is canonical, so arithmetic, hashing,
+ordering and fixed loci run on integers; `comps` is a Fraction view.  The
+maximal diagonal symmetry group of f is
 
     G_f = { g : E*g is an integer vector },
 
@@ -17,6 +20,9 @@ its annihilator under this pairing,
 
 of order det E / |G|, and dualizing twice returns G.
 
+A sector's contribution depends on its element only through the age and the
+fixed locus; `locus_ages` groups a subgroup into these classes.
+
 Subgroups are enumerated one coset at a time by `_extend`.  A subgroup listed
 from its elements carries as `generators` the greedy lexicographic choice that
 the CLI prints: each element, in sorted order, not generated by those before it.
@@ -25,71 +31,129 @@ the CLI prints: each element, in sorted order, not generated by those before it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
-from typing import Iterable, Sequence
+from functools import lru_cache, total_ordering
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InputSyntaxError, MembershipError, VerificationError
 from .invertible import InvertiblePolynomial, determinant, exponent_inverse, transpose, weights
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class GroupElement:
-    comps: tuple[Fraction, ...]
+    """An element of (Q/Z)^n stored as its order r and integer numerators a.
 
-    def __post_init__(self):
-        if any(isinstance(c, float) for c in self.comps):
-            raise TypeError(f"group element components must be exact, got {self.comps!r}")
-        object.__setattr__(self, "comps", tuple(Fraction(c) % 1 for c in self.comps))
+    Component i is a_i / r with 0 <= a_i < r and gcd(r, a_1, ..., a_n) = 1,
+    so equal elements have equal (r, a).  The constructor takes ints or
+    Fractions and reduces them mod 1; `_from_ints` builds an element from
+    integer data directly.  Elements order like their Fraction tuples.
+    """
+
+    __slots__ = ("r", "a", "_hash")
+
+    def __init__(self, comps: Iterable[int | Fraction]):
+        comps = tuple(comps)
+        if any(isinstance(c, float) for c in comps):
+            raise TypeError(f"group element components must be exact, got {comps!r}")
+        fracs = [Fraction(c) for c in comps]
+        r = lcm(*(c.denominator for c in fracs))
+        self._set(r, [c.numerator * (r // c.denominator) for c in fracs])
+
+    @classmethod
+    def _from_ints(cls, r: int, a: Iterable[int]) -> "GroupElement":
+        """The element (a_1/r, ..., a_n/r) mod 1, for any integers a_i and r > 0."""
+        g = cls.__new__(cls)
+        g._set(r, a)
+        return g
+
+    def _set(self, r: int, a: Iterable[int]) -> None:
+        a = [x % r for x in a]
+        d = gcd(r, *a)
+        if d != 1:
+            r //= d
+            a = [x // d for x in a]
+        a = tuple(a)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_hash", hash((r, a)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GroupElement is immutable; cannot set {name!r}")
+
+    @property
+    def comps(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.r) for x in self.a)
 
     @property
     def n(self) -> int:
-        return len(self.comps)
+        return len(self.a)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.r == other.r and self.a == other.a
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "GroupElement") -> bool:
+        r, s = self.r, other.r
+        for x, y in zip(self.a, other.a):
+            if x * s != y * r:
+                return x * s < y * r
+        return len(self.a) < len(other.a)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(tuple(a + b for a, b in zip(self.comps, other.comps)))
+        m = lcm(self.r, other.r)
+        u, v = m // self.r, m // other.r
+        return GroupElement._from_ints(m, [x * u + y * v for x, y in zip(self.a, other.a)])
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(tuple(-a for a in self.comps))
+        return GroupElement._from_ints(self.r, [-x for x in self.a])
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
     def scaled(self, m: int) -> "GroupElement":
-        return GroupElement(tuple(m * a for a in self.comps))
+        return GroupElement._from_ints(self.r, [m * x for x in self.a])
 
     @property
     def age(self) -> Fraction:
-        return sum(self.comps, Fraction(0))
+        return Fraction(sum(self.a), self.r)
 
     def fixed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.comps) if c == 0)
+        return tuple(i for i, x in enumerate(self.a) if x == 0)
 
     @property
     def n_fixed(self) -> int:
-        return sum(1 for c in self.comps if c == 0)
+        return self.a.count(0)
 
     @property
     def is_identity(self) -> bool:
-        return all(c == 0 for c in self.comps)
+        return self.r == 1
 
     @property
     def order(self) -> int:
-        return lcm(*(c.denominator for c in self.comps)) if self.comps else 1
+        return self.r
+
+    def __repr__(self) -> str:
+        return f"GroupElement(comps={self.comps!r})"
 
     def __str__(self) -> str:
         return format_element(self)
 
 
 def identity(n: int) -> GroupElement:
-    return GroupElement((Fraction(0),) * n)
+    return GroupElement._from_ints(1, (0,) * n)
 
 
 def is_in_sl(g: GroupElement) -> bool:
     """Whether g acts with determinant 1, i.e. its age is an integer."""
-    return g.age.denominator == 1
+    return sum(g.a) % g.r == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +206,23 @@ def closure(n: int, gens: Iterable[GroupElement]) -> frozenset[GroupElement]:
     return elems
 
 
+def _sorted(elements: Iterable[GroupElement]) -> list[GroupElement]:
+    """Elements in the order of their Fraction tuples, sorted by integer
+    keys over one common denominator."""
+    elements = list(elements)
+    den = lcm(*(g.r for g in elements)) if elements else 1
+    return sorted(elements, key=lambda g: tuple(x * (den // g.r) for x in g.a))
+
+
 @lru_cache(maxsize=None)
 def sorted_elements(G: AbelianSubgroup) -> tuple[GroupElement, ...]:
-    return tuple(sorted(G.elements))
+    return tuple(_sorted(G.elements))
 
 
 def _reduce_generators(n: int, elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     gens: list[GroupElement] = []
     known = frozenset({identity(n)})
-    for e in sorted(elements):
+    for e in _sorted(elements):
         if e not in known:
             gens.append(e)
             known = _extend(known, e)
@@ -165,7 +237,7 @@ def _from_elements(ambient: InvertiblePolynomial, elements: Iterable[GroupElemen
 def violated_row(f: InvertiblePolynomial, g: GroupElement) -> int | None:
     """Index of the first monomial of f not preserved by g, or None."""
     for i, row in enumerate(f.exponents):
-        if sum(e * c for e, c in zip(row, g.comps)).denominator != 1:
+        if sum(e * x for e, x in zip(row, g.a)) % g.r:
             return i
     return None
 
@@ -234,17 +306,17 @@ def dual_group(f: InvertiblePolynomial, G: AbelianSubgroup) -> AbelianSubgroup:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     ft = transpose(f)
     # E*g is integral for g in G_f, so the pairing against h reduces to an
-    # integer-vector dot product with the components of h.
+    # integer-vector dot product with the numerators of h, modulo its order.
     vecs = []
     for g in G.generators:
-        eg = [sum(e * c for e, c in zip(row, g.comps)) for row in f.exponents]
-        if any(v.denominator != 1 for v in eg):
+        eg = [sum(e * x for e, x in zip(row, g.a)) for row in f.exponents]
+        if any(v % g.r for v in eg):
             raise VerificationError(f"E*g is not integral for the generator {format_element(g)}")
-        vecs.append([int(v) for v in eg])
+        vecs.append([v // g.r for v in eg])
     elems = [
         h
         for h in gf_group(ft).elements
-        if all(sum(hc * v for hc, v in zip(h.comps, vec)).denominator == 1 for vec in vecs)
+        if not any(sum(x * v for x, v in zip(h.a, vec)) % h.r for vec in vecs)
     ]
     return _from_elements(ft, elems)
 
@@ -273,9 +345,7 @@ def all_subgroups(G: AbelianSubgroup) -> tuple[AbelianSubgroup, ...]:
 
 
 def format_element(g: GroupElement) -> str:
-    r = g.order
-    parts = ",".join(str(int(c * r)) for c in g.comps)
-    return f"1/{r}({parts})"
+    return f"1/{g.r}({','.join(map(str, g.a))})"
 
 
 _ELEMENT_RE = re.compile(r"\s*1\s*/\s*(\d+)\s*\(\s*([^()]*?)\s*\)\s*$")
@@ -296,7 +366,7 @@ def parse_element(text: str, n: int) -> GroupElement:
         nums = [int(p) for p in parts]
     except ValueError as exc:
         raise InputSyntaxError(f"invalid component in {text!r}", 0) from exc
-    return GroupElement(tuple(Fraction(a, r) for a in nums))
+    return GroupElement._from_ints(r, nums)
 
 
 def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
@@ -320,6 +390,25 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
     return subgroup(f, tuple(parse_element(p, f.n) for p in pieces))
 
 
+# ---------------------------------------------------------------------------
+# sector classes and characters
+
+
+@lru_cache(maxsize=None)
+def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], Mapping[Fraction, int]]:
+    """The sector classes of G: fixed locus I -> {age: number of elements}.
+
+    Both engines weigh a sector only through its age and its fixed locus, so
+    they sum over these classes, computing once for each locus.  Loci and
+    ages come in increasing order; the cached maps are read-only.
+    """
+    counts = Counter((g.fixed_indices(), g.age) for g in G.elements)
+    out: dict[tuple[int, ...], dict[Fraction, int]] = {}
+    for (fixed, age), k in sorted(counts.items()):
+        out.setdefault(fixed, {})[age] = k
+    return MappingProxyType({fixed: MappingProxyType(ages) for fixed, ages in out.items()})
+
+
 @lru_cache(maxsize=None)
 def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Integerized restriction of G's generators to the coordinates `fixed`.
@@ -331,9 +420,9 @@ def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[in
     """
     out = []
     for h in G.generators:
-        comps = [h.comps[i] for i in fixed]
-        den = lcm(*(c.denominator for c in comps)) if comps else 1
-        out.append((den, tuple(int(c * den) for c in comps)))
+        nums = [h.a[i] for i in fixed]
+        scale = gcd(h.r, *nums)
+        out.append((h.r // scale, tuple(x // scale for x in nums)))
     return tuple(out)
 
 

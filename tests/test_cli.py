@@ -176,6 +176,49 @@ def test_corpus_json_format(tmp_path, capsys):
     assert data["entries"][0]["checks"]["engines"] == "PASS"
 
 
+def test_corpus_invalid_entry_fails_only_that_entry(tmp_path, capsys):
+    p = tmp_path / "mixed.corpus"
+    p.write_text("bad ; x^3 + y^3 ; 1/5(1,0)\ngood ; x^3 ; Gf\n")
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p))
+    assert code == 4
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:3]}
+    assert rows["bad"] == ["ERROR"] * 9
+    assert "ERROR" not in rows["good"] and "FAIL" not in rows["good"]
+    assert "FAILED (1): bad" in out
+    assert err.startswith("error: bad: ") and "not a symmetry" in err
+    assert "Traceback" not in err
+
+
+def test_corpus_invalid_entry_json(tmp_path, capsys):
+    p = tmp_path / "mixed.corpus"
+    p.write_text("bad ; x^^3 ; trivial\ngood ; x^3 ; Gf\n")
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p), "--format", "json")
+    data = json.loads(out)
+    assert code == 4
+    assert data["pass"] is False
+    bad, good = data["entries"]
+    assert bad["ok"] is False
+    assert set(bad["checks"].values()) == {"ERROR"}
+    assert "exponent" in bad["error"]
+    assert good["ok"] is True and "error" not in good
+    assert err == ""
+
+
+def test_corpus_computes_one_hodge_table_per_entry(tmp_path, capsys, monkeypatch):
+    from orbefun import corpus
+
+    calls = []
+    real = corpus.hodge_table
+    monkeypatch.setattr(corpus, "hodge_table", lambda f, G: calls.append(G) or real(f, G))
+    p = tmp_path / "one.corpus"
+    # parity, variance and the recorded variance all read the table
+    p.write_text('a ; x^3 ; Gf ; {"variance": "1/18"}\n')
+    code, out, _ = run(capsys, "corpus", "--corpus-file", str(p))
+    assert code == 0
+    assert "all 1 entries PASS" in out
+    assert len(calls) == 1
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "orbefun", "efunction", "x^3", "--group", "Gf"],
