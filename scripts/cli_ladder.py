@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Run a fixed ladder of orbefun CLI invocations and record every result.
+
+    python scripts/cli_ladder.py OUT
+
+Each invocation is a fresh `python -m orbefun`, importing the package from
+the `src/` of the checkout this script sits in, with PYTHONHASHSEED=0.  OUT
+receives, for every invocation in a fixed order, the command, its exit code,
+its stdout and its stderr.  Two checkouts behave identically on the ladder
+exactly when their files are byte-identical, so comparing them is one `cmp`.
+
+The ladder: each polynomial below with `info`, and with every command in
+COMMANDS under every group in GROUPS, each in text and JSON; the bundled
+corpus in text and JSON; and a few inputs that must fail with their exit
+code.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+POLYNOMIALS = (
+    "x1^5 + x2^5 + x3^5 + x4^5 + x5^5",
+    "x1^3 + x2^3 + x3^3 + x4^3 + x5^3 + x6^3",
+    "x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1",
+    "x^3*y + y^2 + z^2*w + w^3*z",
+    "x^4 + y^4",
+    # a loop and a Fermat atom whose variables interleave
+    "x^2*w + z^3 + w^2*y + y^2*x",
+)
+GROUPS = ("trivial", "G0", "SL", "Gf")
+COMMANDS = ("check-duality", "dual", "pairs", "hodge", "variance")
+FORMATS = ("text", "json")
+FAILURES = (
+    ("info", "x^3 +"),
+    ("info", "x^2 + x^3"),
+    ("efunction", "x^4 + y^4", "--group", "1/3(1,0)"),
+    ("efunction", "x^3", "--group", "1/3(1) ,, 1/3(2)"),
+    ("efunction", "x^3", "--group", "1/3(1),"),
+)
+
+
+def ladder():
+    for poly in POLYNOMIALS:
+        for fmt in FORMATS:
+            yield ("info", poly, "--format", fmt)
+        for group in GROUPS:
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    yield (command, poly, "--group", group, "--format", fmt)
+    for fmt in FORMATS:
+        yield ("corpus", "--format", fmt)
+    yield from FAILURES
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: cli_ladder.py OUT", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    count = 0
+    with open(argv[0], "wb") as out:
+        for args in ladder():
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbefun", *args], env=env, cwd=ROOT, capture_output=True
+            )
+            out.write(f"$ orbefun {shlex.join(args)}\nexit {proc.returncode}\n".encode())
+            out.write(b"--- stdout\n" + proc.stdout + b"--- stderr\n" + proc.stderr)
+            count += 1
+    print(f"{count} invocations written to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -16,7 +16,8 @@ sum_I A_I * S_I: the basis of f restricted to I is filtered once per locus
 of elements A_I of that age (`symmetry.locus_ages`).
 
 The same basis carries a combinatorial map into the symmetry group of the
-transposed polynomial: k |-> psi(k) = fractional part of (k+1)^T * E^(-1).
+transposed polynomial: k |-> psi(k), the solution x of E^T * x = k + 1 taken
+mod 1 (the fractional part of (k+1)^T * E^(-1)).
 Pairing each invariant monomial in sector g with the zero-extension of
 psi(k) yields the sector pairing table, the structure that transposes under
 (f, G) <-> (transpose, dual group).
@@ -37,8 +38,8 @@ from .errors import DomainError, VerificationError
 from .invertible import (
     Atom,
     InvertiblePolynomial,
+    _solve,
     atom_polynomial,
-    exponent_inverse,
     milnor_number,
     restrict,
     transpose,
@@ -103,7 +104,8 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
 
     The zero-variable polynomial has the single empty monomial of degree 0.
     """
-    q = weights(f).q
+    ws = weights(f)
+    w, d = ws.w, ws.d
     per_atom = [(atom.var_indices, atom_basis(atom)) for atom in f.atoms]
     out = []
     for combo in product(*(ks for _, ks in per_atom)):
@@ -111,7 +113,7 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
         for (idxs, _), k in zip(per_atom, combo):
             for i, v in zip(idxs, k):
                 exps[i] = v
-        ell = sum((q[i] * (exps[i] + 1) for i in range(f.n)), Fraction(0))
+        ell = Fraction(sum(w[i] * (exps[i] + 1) for i in range(f.n)), d)
         out.append(BasisMonomial(tuple(exps), ell))
     out.sort()
     if len(out) != milnor_number(f):
@@ -245,15 +247,9 @@ def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynom
 
 
 def psi(f: InvertiblePolynomial, exps: tuple[int, ...]) -> GroupElement:
-    """Fractional part of (exps + 1)^T * E^(-1); always a diagonal symmetry
-    of the transposed polynomial."""
-    inv = exponent_inverse(f)
-    shifted = [e + 1 for e in exps]
-    comps = tuple(
-        sum((shifted[i] * inv[i][j] for i in range(f.n)), Fraction(0))
-        for j in range(f.n)
-    )
-    return GroupElement(comps)
+    """The solution x of E^T * x = exps + 1, mod 1; always a diagonal symmetry
+    of the transposed polynomial, whose exponent matrix is E^T."""
+    return GroupElement(_solve(transpose(f), [e + 1 for e in exps]))
 
 
 class PairTable:
@@ -301,10 +297,10 @@ def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
         fsub = restrict(f, sec.fixed)
         for m in sec.monomials:
             h = psi(fsub, m.exps)
-            comps = [Fraction(0)] * f.n
+            a = [0] * f.n
             for j, i in enumerate(sec.fixed):
-                comps[i] = h.comps[j]
-            gt = GroupElement(tuple(comps))
+                a[i] = h.a[j]
+            gt = GroupElement._from_ints(h.r, a)
             if gt not in Gd:
                 raise VerificationError(
                     f"psi image {format_element(gt)} is not in the dual group {Gd}"
@@ -321,13 +317,14 @@ def expected_multiplicity(f: InvertiblePolynomial, g: GroupElement, gt: GroupEle
     for atom in f.atoms:
         if atom.kind != "loop" or atom.size % 2:
             continue
-        if all(g.comps[i] == 0 for i in atom.var_indices) and all(
-            gt.comps[i] == 0 for i in atom.var_indices
+        if all(g.a[i] == 0 for i in atom.var_indices) and all(
+            gt.a[i] == 0 for i in atom.var_indices
         ):
             r += 1
     return 2 ** r
 
 
+@lru_cache(maxsize=None)
 def psi_structure_ok(f: InvertiblePolynomial) -> bool:
     """Per-atom sanity of psi on the full basis box.
 

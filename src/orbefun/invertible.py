@@ -14,6 +14,14 @@ det E > 0.  Exponents equal to 1 in the atom data (rows such as x*y) are
 rejected: the matching would be ambiguous and none of the invariants computed
 downstream are defined for them here.
 
+Along an atom, row i of E reads a_i*x_i + x_(i+1) (just a_m*x_m at the tail
+of a chain), so E is block diagonal up to a simultaneous permutation of rows
+and columns, one block per atom.  Hence det E is the product over atoms of
+prod(a) for a chain and prod(a) - (-1)^m for a loop of length m, and every
+linear system E*x = b (weights, columns of E^(-1), and through the transpose
+the map psi) goes through one exact atom-by-atom solver, `_solve`, which
+verifies its answer.
+
 `parse_polynomial` accepts the grammar (whitespace insignificant):
 
     poly   := term ('+' term)*
@@ -34,7 +42,6 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from . import ratlinalg
 from .errors import (
     CoefficientWarning,
     DomainError,
@@ -361,51 +368,57 @@ def atom_polynomial(kind: str, a: Sequence[int], variables: Sequence[str] | None
 
 @lru_cache(maxsize=None)
 def determinant(f: InvertiblePolynomial) -> int:
-    d = ratlinalg.determinant(f.exponents)
-    if d.denominator != 1:
-        raise VerificationError(f"det E = {d} is not an integer")
-    return int(d)
+    """det E, atom by atom: prod(a) for a chain, prod(a) - (-1)^m for a loop of length m."""
+    d = 1
+    for atom in f.atoms:
+        d *= prod(atom.a) - ((-1) ** atom.size if atom.kind == "loop" else 0)
+    return d
+
+
+def _solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """The exact x with E*x = b, solved atom by atom and checked row by row.
+
+    Chains go back to front (x_m = b_m/a_m, x_i = (b_i - x_(i+1))/a_i); loops
+    write x_i = c_i + d_i*x_1 along the cyclic recurrence
+    x_(i+1) = b_i - a_i*x_i and close it at x_(m+1) = x_1.
+    """
+    x = [Fraction(0)] * f.n
+    for atom in f.atoms:
+        idx, a = atom.var_indices, atom.a
+        if atom.kind == "chain":
+            acc = Fraction(0)
+            for i, ai in zip(reversed(idx), reversed(a)):
+                acc = (b[i] - acc) / ai
+                x[i] = acc
+        else:
+            c, d = 0, 1
+            for i, ai in zip(idx, a):
+                c, d = b[i] - ai * c, -ai * d
+            acc = Fraction(c, 1 - d)
+            for i, ai in zip(idx, a):
+                x[i] = acc
+                acc = b[i] - ai * acc
+    for i, row in enumerate(f.exponents):
+        if sum(e * x[j] for j, e in enumerate(row) if e) != b[i]:
+            raise VerificationError(f"solution of E*x = {tuple(b)} fails row {i + 1} of {f.to_text()}")
+    return tuple(x)
 
 
 @lru_cache(maxsize=None)
 def exponent_inverse(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    return ratlinalg.inverse(f.exponents)
+    """E^(-1) as row tuples; column j solves E*x = e_j."""
+    cols = [_solve(f, [int(i == j) for i in range(f.n)]) for j in range(f.n)]
+    return tuple(zip(*cols))
 
 
 @lru_cache(maxsize=None)
 def weights(f: InvertiblePolynomial) -> WeightSystem:
-    """Unique exact solution of E*q = (1,...,1), solved atom by atom.
-
-    Chains go back to front (q_m = 1/a_m, q_i = (1 - q_{i+1})/a_i); loops by
-    eliminating the cyclic recurrence q_{i+1} = 1 - a_i q_i.
-    """
-    q: list[Fraction | None] = [None] * f.n
-    for atom in f.atoms:
-        a = atom.a
-        m = len(a)
-        if atom.kind == "chain":
-            acc = Fraction(1, a[-1])
-            q[atom.var_indices[-1]] = acc
-            for i in range(m - 2, -1, -1):
-                acc = (1 - acc) / a[i]
-                q[atom.var_indices[i]] = acc
-        else:
-            c, d = Fraction(0), Fraction(1)
-            for i in range(m):
-                c, d = 1 - a[i] * c, -a[i] * d
-            vals = [c / (1 - d)]
-            for i in range(m - 1):
-                vals.append(1 - a[i] * vals[-1])
-            for idx, val in zip(atom.var_indices, vals):
-                q[idx] = val
-    qt = tuple(q)  # type: ignore[arg-type]
-    if not all(qi is not None and 0 < qi <= Fraction(1, 2) for qi in qt):
+    """The unique exact solution of E*q = (1,...,1); every weight lies in (0, 1/2]."""
+    q = _solve(f, (1,) * f.n)
+    if not all(0 < qi <= Fraction(1, 2) for qi in q):
         raise VerificationError(f"weights of {f.to_text()} are not all in (0, 1/2]")
-    for row in f.exponents:
-        if sum(e * qi for e, qi in zip(row, qt)) != 1:
-            raise VerificationError(f"weights of {f.to_text()} do not solve E*q = 1")
-    d = lcm(*(qi.denominator for qi in qt)) if qt else 1
-    return WeightSystem(qt, d)
+    d = lcm(*(qi.denominator for qi in q)) if q else 1
+    return WeightSystem(q, d)
 
 
 @lru_cache(maxsize=None)

@@ -295,8 +295,9 @@ def pairing(f: InvertiblePolynomial, g: GroupElement, h: GroupElement) -> Fracti
         raise MembershipError(f"{format_element(g)} is not in the symmetry group of f")
     if not gf_contains(transpose(f), h):
         raise MembershipError(f"{format_element(h)} is not in the symmetry group of the transpose")
-    eg = [sum(e * c for e, c in zip(row, g.comps)) for row in f.exponents]
-    return sum((hc * v for hc, v in zip(h.comps, eg)), Fraction(0)) % 1
+    # E*g is integral, so the pairing is an integer dot product over the order of h
+    eg = [sum(e * x for e, x in zip(row, g.a)) // g.r for row in f.exponents]
+    return Fraction(sum(y * v for y, v in zip(h.a, eg)), h.r) % 1
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +350,9 @@ def format_element(g: GroupElement) -> str:
 
 
 _ELEMENT_RE = re.compile(r"\s*1\s*/\s*(\d+)\s*\(\s*([^()]*?)\s*\)\s*$")
+_GENERATOR = r"1\s*/\s*\d+\s*\([^()]*\)"
+# generators separated by at most one comma each, with any whitespace
+_GENERATOR_LIST_RE = re.compile(rf"{_GENERATOR}(?:\s*,?\s*{_GENERATOR})*")
 
 
 def parse_element(text: str, n: int) -> GroupElement:
@@ -371,7 +375,10 @@ def parse_element(text: str, n: int) -> GroupElement:
 
 def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
     """Resolve a group specification: 'trivial', 'Gf', 'G0', 'SL', or a list
-    of generators '1/r(a1,...,an)' separated by commas or by whitespace."""
+    of generators '1/r(a1,...,an)' separated by commas or by whitespace.
+
+    A list with an empty item (a leading, trailing or doubled comma) is an
+    InputSyntaxError."""
     s = spec.strip()
     if s == "trivial":
         return subgroup(f, ())
@@ -381,12 +388,11 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
         return grading_subgroup(f)
     if s == "SL":
         return sl_subgroup(f)
-    pieces = re.findall(r"1\s*/\s*\d+\s*\([^()]*\)", s)
-    leftover = re.sub(r"1\s*/\s*\d+\s*\([^()]*\)", "", s).replace(",", "").strip()
-    if not pieces or leftover:
+    if not _GENERATOR_LIST_RE.fullmatch(s):
         raise InputSyntaxError(
             f"invalid group spec {spec!r}: expected trivial|Gf|G0|SL or generators 1/r(a1,...,an)", 0
         )
+    pieces = re.findall(_GENERATOR, s)
     return subgroup(f, tuple(parse_element(p, f.n) for p in pieces))
 
 

@@ -55,6 +55,16 @@ def polynomials(draw, max_vars=4):
 
 
 @st.composite
+def interleaved_polynomials(draw, max_vars=4):
+    """`polynomials()` with rows and columns permuted together, so that an
+    atom's variables need not be contiguous (as in x^2*z + y^3 + z^2)."""
+    f = draw(polynomials(max_vars=max_vars))
+    p = draw(st.permutations(range(f.n)))
+    rows = tuple(tuple(f.exponents[p[i]][p[j]] for j in range(f.n)) for i in range(f.n))
+    return from_exponent_matrix(rows)
+
+
+@st.composite
 def symmetric_pairs(draw, max_vars=4):
     """A polynomial plus a random subgroup of its full symmetry group."""
     f = draw(polynomials(max_vars=max_vars))

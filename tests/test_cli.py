@@ -117,6 +117,13 @@ def test_exit_code_2_on_syntax(capsys):
     assert "position" in err
 
 
+def test_exit_code_2_on_empty_group_spec_item(capsys):
+    for spec in ("1/3(1) ,, 1/3(2)", ", 1/3(1)", "1/3(1),"):
+        code, out, err = run(capsys, "efunction", "x^3", "--group", spec)
+        assert (code, out) == (2, "")
+        assert "invalid group spec" in err
+
+
 def test_exit_code_3_on_domain(capsys):
     code, _, err = run(capsys, "info", "x^2 + x^3")
     assert code == 3

@@ -8,6 +8,8 @@ from orbefun import (
     default_corpus,
     format_corpus,
     parse_corpus,
+    psi_structure_ok,
+    run_corpus,
     run_entry,
 )
 from orbefun.corpus import CHECKS
@@ -86,3 +88,13 @@ def test_run_entry_checks_recorded_efunction():
     assert run_entry(CorpusEntry("t", "x^3", "Gf", good)).ok
     bad = {"efunction": [{"t": "0", "tbar": "0", "coeff": 1}]}
     assert not run_entry(CorpusEntry("t", "x^3", "Gf", bad)).ok
+
+
+def test_psi_structure_checked_once_per_polynomial():
+    entries = [CorpusEntry(f"e{i}", "x^3*y + y^2*z + z^4", spec)
+               for i, spec in enumerate(("trivial", "G0", "SL", "Gf"))]
+    psi_structure_ok.cache_clear()
+    results = run_corpus(entries)
+    assert all(r.statuses["psi"] == "PASS" for r in results)
+    info = psi_structure_ok.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

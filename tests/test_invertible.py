@@ -125,6 +125,8 @@ def test_milnor_number_examples():
 def test_determinant_examples():
     assert determinant(parse_polynomial("x^3*y + y^2")) == 6
     assert determinant(parse_polynomial("x^2*y + y^2*z + z^2*x")) == 9
+    assert determinant(parse_polynomial("x^2*y + y^2*x")) == 3
+    assert determinant(parse_polynomial("x^2*y + y^2*z + z^2*w + w^2*x")) == 15
 
 
 def test_exponent_inverse_is_inverse():

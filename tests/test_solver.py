@@ -1,0 +1,103 @@
+"""The atom-by-atom solver behind det E, E^(-1), the weights and psi,
+checked against textbook linear algebra computed here from the matrix."""
+
+from fractions import Fraction
+from itertools import permutations
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbefun import (
+    VerificationError,
+    determinant,
+    exponent_inverse,
+    gf_group,
+    milnor_basis,
+    pairing,
+    parse_polynomial,
+    psi,
+    transpose,
+    weights,
+)
+from orbefun.invertible import _solve
+from orbefun.symmetry import GroupElement, sorted_elements
+from strategies import interleaved_polynomials, polynomials
+
+F = Fraction
+
+# x^2*z + y^3 + z^2 and x^2*w + w^2*y + y^2*x + z^3, with the monomials in an
+# order whose first appearances put a variable of another atom inside each atom
+INTERLEAVED = ("z^2 + y^3 + x^2*z", "x^2*w + z^3 + w^2*y + y^2*x")
+
+
+def leibniz(rows):
+    n = len(rows)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][p[i]] for i in range(n))
+    return total
+
+
+def adjugate(rows):
+    n = len(rows)
+
+    def minor(i, j):
+        return [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+
+    return [[(-1) ** (i + j) * leibniz(minor(j, i)) for j in range(n)] for i in range(n)]
+
+
+def check_solver(f):
+    E, n = f.exponents, f.n
+    det = leibniz(E)
+    assert determinant(f) == det
+    inv = exponent_inverse(f)
+    for i in range(n):
+        for j in range(n):
+            assert sum(E[i][k] * inv[k][j] for k in range(n)) == int(i == j)
+    adj = adjugate(E)
+    for m in milnor_basis(f):
+        row = [sum((m.exps[i] + 1) * adj[i][j] for i in range(n)) for j in range(n)]
+        assert psi(f, m.exps) == GroupElement(F(v, det) for v in row)
+
+
+def test_interleaved_examples():
+    for text in INTERLEAVED:
+        f = parse_polynomial(text)
+        assert any(max(a.var_indices) - min(a.var_indices) >= a.size for a in f.atoms)
+        check_solver(f)
+    f = parse_polynomial(INTERLEAVED[0])
+    assert determinant(f) == 12
+    assert weights(f).q == (F(1, 2), F(1, 3), F(1, 4))
+    g = parse_polynomial(INTERLEAVED[1])
+    assert determinant(g) == 27
+    assert weights(g).q == (F(1, 3),) * 4
+
+
+def test_solve_checks_its_answer():
+    f = parse_polynomial(INTERLEAVED[0])
+    assert _solve(f, (1, 2, 3)) == (F(1, 2), F(2, 3), F(5, 4))
+    # atoms that disagree with the exponent matrix give an x that fails E*x = b
+    chain, fermat = f.atoms
+    wrong = type(chain)("chain", chain.var_indices, (2, 3))
+    broken = type(f)(f.n, f.exponents, f.variables, (wrong, fermat))
+    with pytest.raises(VerificationError):
+        _solve(broken, (1, 1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(polynomials(), interleaved_polynomials()))
+def test_solver_matches_leibniz_and_adjugate(f):
+    check_solver(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(interleaved_polynomials(max_vars=3), st.data())
+def test_pairing_matches_fraction_formula(f, data):
+    ft = transpose(f)
+    g = data.draw(st.sampled_from(sorted_elements(gf_group(f))))
+    h = data.draw(st.sampled_from(sorted_elements(gf_group(ft))))
+    eg = [sum(e * c for e, c in zip(row, g.comps)) for row in f.exponents]
+    assert pairing(f, g, h) == sum((c * v for c, v in zip(h.comps, eg)), F(0)) % 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from orbefun import (
     DomainError,
+    InputSyntaxError,
     MembershipError,
     all_subgroups,
     determinant,
@@ -152,6 +153,15 @@ def test_parse_group_spec_tokens():
     assert parse_group_spec(f, "SL").order == 4
     assert parse_group_spec(f, "1/4(1,1)").order == 4
     assert parse_group_spec(f, "1/4(1,0), 1/4(0,1)").order == 16
+
+
+def test_parse_group_spec_rejects_empty_items():
+    f = parse_polynomial("x^3")
+    assert parse_group_spec(f, "1/3(1) 1/3(2)").order == 3
+    assert parse_group_spec(f, " 1/3(1) ,\t1/3(2) ").order == 3
+    for spec in ("1/3(1) ,, 1/3(2)", ", 1/3(1)", "1/3(1),", ","):
+        with pytest.raises(InputSyntaxError):
+            parse_group_spec(f, spec)
 
 
 def test_all_subgroups_counts():
