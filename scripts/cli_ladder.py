@@ -10,9 +10,11 @@ its stdout and its stderr.  Two checkouts behave identically on the ladder
 exactly when their files are byte-identical, so comparing them is one `cmp`.
 
 The ladder: each polynomial below with `info`, and with every command in
-COMMANDS under every group in GROUPS, each in text and JSON; the bundled
-corpus in text and JSON; and a few inputs that must fail with their exit
-code.
+COMMANDS under every group in GROUPS, each in text and JSON; for every
+polynomial and group, `check-duality --engine series` in text, so that the
+series engine's output is checked on its own and not only against the basis
+engine's; the bundled corpus in text and JSON; and a few inputs that must
+fail with their exit code.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ POLYNOMIALS = (
     "x^2*w + z^3 + w^2*y + y^2*x",
 )
 GROUPS = ("trivial", "G0", "SL", "Gf")
-COMMANDS = ("check-duality", "dual", "pairs", "hodge", "variance")
+COMMANDS = ("check-duality", "dual", "pairs", "hodge", "variance", "efunction")
 FORMATS = ("text", "json")
 FAILURES = (
     ("info", "x^3 +"),
@@ -54,6 +56,7 @@ def ladder():
             for command in COMMANDS:
                 for fmt in FORMATS:
                     yield (command, poly, "--group", group, "--format", fmt)
+            yield ("check-duality", poly, "--group", group, "--engine", "series")
     for fmt in FORMATS:
         yield ("corpus", "--format", fmt)
     yield from FAILURES

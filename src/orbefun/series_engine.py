@@ -11,19 +11,41 @@ G-invariant part.  The projected product telescopes to a finite polynomial;
 with G trivial and g the identity it collapses to the closed product
 prod_i (y^(1/2) - y^(q_i - 1/2)) / (1 - y^(q_i)).
 
-Grouping the product by the accumulated character tuple c makes this exact
-and fast: a tuple with z zero entries and fr positive ones contributes
+Expanding the product one coordinate at a time makes this exact and fast.
+All exponents are integer "costs": y-degrees times a common denominator
+`scale`, raised by 1/2 per coordinate so that none is negative.  In these
+units the coefficient of c^v in the series of a coordinate of weight q
+(q scaled too) is the factor
 
-    (-1)^fr * y^(sum c_i q_i + z/2 - fr/2) * (1 - y)^fr,
+    y^scale                          for v = 0,
+    -y^(v*q) + y^(v*q + scale)       for v >= 1.
 
-and the invariant part is supported in y-degrees <= sum_i (1 - q_i) - n_g/2,
-so tuples and binomial terms beyond that bound are never materialized.  All
-exponent arithmetic runs on integers after scaling by a common denominator;
-character sums are accumulated along the recursion, once per branch.
+The pass multiplies these factors in coordinate by coordinate.  It keeps the
+partial product as state -> (cost -> coefficient), the state being the
+residues of the invariance constraints on the characters chosen so far.  A
+constraint opens at its first coordinate with a nonzero entry and closes at
+its last one, where only residue 0 survives; after the last coordinate only
+the invariant part is left.  That part is supported in y-degrees
+<= sum_i (1 - q_i) - n_g/2, i.e. in costs <= top.  Every exponent of a
+coordinate's factor is at least its q, so the coordinates after j add at
+least suffix[j+1] = sum_{i>j} q_i to whatever they multiply: cutting the
+partial product at top - suffix[j+1] after coordinate j drops only terms
+that could never return under the bound, and the cut is exact.
+
+The states number at most the product of the moduli of the constraints open
+at once, so the constraints are reduced before the pass.  The tests of
+`symmetry.character_data` are rewritten over one common modulus N and
+eliminated from the last coordinate backwards by unimodular 2x2 row
+operations (extended gcd), which keep the set of invariant characters and
+leave each row a different last coordinate, so rows close as early as the
+group allows.  SL of x1^7 + ... + x5^7, say, has the greedy generators
+1/7(0,0,0,1,6), 1/7(0,0,1,0,6), ..., all of them open to the last
+coordinate; reduced, they become (0,0,0,1,6), (0,0,1,6,0), ..., each open
+across two coordinates only.
 
 The projected series depends on g only through its fixed locus I, and the
 prefactor only through its age, so E(f, G) = sum_I A_I(t*tb) * S_I(tb/t):
-one walk per locus (S_I), scaled by the number of elements of each age in
+one pass per locus (S_I), scaled by the number of elements of each age in
 that locus (A_I, from `symmetry.locus_ages`).
 """
 
@@ -31,12 +53,113 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
+from typing import Iterator
 
 from .efunction import BiExpPolynomial
 from .errors import DomainError
 from .invertible import InvertiblePolynomial, weights
 from .symmetry import AbelianSubgroup, character_data, locus_ages
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b for a > 0; (a, 1, 0) when a
+    divides b, so that a pivot dividing a row's entry stays as it is."""
+    s0, t0, s1, t1 = 1, 0, 0, 1  # a = s0*a0 + t0*b0, b = s1*a0 + t1*b0
+    while b % a:
+        k = b // a
+        a, b = b - k * a, a
+        s0, t0, s1, t1 = s1 - k * s0, t1 - k * t0, s0, t0
+    return a, s0, t0
+
+
+def _reduced_constraints(
+    chardata: tuple[tuple[int, tuple[int, ...]], ...], m: int
+) -> tuple[int, list[list[int]]]:
+    """The tests of `chardata` as rows over one modulus N, in echelon form
+    from the right: no two rows share their last nonzero coordinate.
+
+    A row w passes a character tuple c when sum(c_j * w_j) = 0 mod N.
+    """
+    N = lcm(*(den for den, _ in chardata))
+    rows = [[x * (N // den) % N for x in vec] for den, vec in chardata]
+    rows = [r for r in rows if any(r)]
+    reduced = []
+    for j in reversed(range(m)):
+        pivot = None
+        rest = []
+        for r in rows:
+            if not r[j]:
+                rest.append(r)
+            elif pivot is None:
+                pivot = r
+            else:
+                # [[s, t], [-b/g, a/g]] has determinant 1 and clears r[j]
+                a, b = pivot[j], r[j]
+                g, s, t = _xgcd(a, b)
+                pivot, r = (
+                    [(s * x + t * y) % N for x, y in zip(pivot, r)],
+                    [(a // g * y - b // g * x) % N for x, y in zip(pivot, r)],
+                )
+                if any(r):
+                    rest.append(r)
+        if pivot is not None:
+            reduced.append(pivot)
+        rows = rest
+    return N, reduced
+
+
+def _layers(
+    qs: list[int], scale: int, top: int, N: int, rows: list[list[int]]
+) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
+    """The partial products, state -> (cost -> coefficient): first the empty
+    product, then one after each coordinate.
+
+    A state holds one residue per row; rows not yet opened or already closed
+    hold 0.  Entries with coefficient 0 are dropped.
+    """
+    last = [max(j for j, w in enumerate(r) if w) for r in rows]
+    layer = {(0,) * len(rows): {0: 1}}
+    yield layer
+    limit = top - sum(qs)
+    for j, q in enumerate(qs):
+        limit += q  # top - suffix[j+1]
+        touched = [(k, r[j]) for k, r in enumerate(rows) if r[j]]
+        closing = [k for k, end in enumerate(last) if end == j]
+        # this coordinate's factor, its terms grouped by the residues they add
+        factor: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        if scale <= limit:
+            factor[(0,) * len(touched)] = [(scale, 1)]
+        v = 1
+        while v * q <= limit:
+            terms = factor.setdefault(tuple(v * w % N for _, w in touched), [])
+            terms.append((v * q, -1))
+            if v * q + scale <= limit:
+                terms.append((v * q + scale, 1))
+            v += 1
+        for terms in factor.values():
+            terms.sort()
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for state, poly in layer.items():
+            for delta, terms in factor.items():
+                new = list(state)
+                for (k, _), d in zip(touched, delta):
+                    new[k] = (new[k] + d) % N
+                if any(new[k] for k in closing):
+                    continue
+                target = nxt.setdefault(tuple(new), {})
+                for e, c in poly.items():
+                    room = limit - e
+                    for fe, fc in terms:
+                        if fe > room:
+                            break
+                        target[e + fe] = target.get(e + fe, 0) + c * fc
+        layer = {}
+        for state, poly in nxt.items():
+            poly = {e: c for e, c in poly.items() if c}
+            if poly:
+                layer[state] = poly
+        yield layer
 
 
 def _invariant_sector_series(
@@ -45,58 +168,26 @@ def _invariant_sector_series(
 ) -> dict[Fraction, int]:
     """Invariant part of the coordinate-series product, as y-degree -> coeff.
 
-    Enumerates character tuples recursively with suffix pruning against the
-    scaled budget; each surviving tuple deposits its binomial expansion up
-    to the support bound.
+    One pass over the coordinates (`_layers`) under the reduced constraints
+    (`_reduced_constraints`).  Once every constraint has closed, the only
+    state left is the invariant one, all residues 0; its costs, lowered by
+    1/2 per coordinate, are the y-degrees.
     """
     m = len(qsub)
     scale = lcm(2, *(q.denominator for q in qsub))
     qs = [int(q * scale) for q in qsub]
     top = sum(scale - v for v in qs)
+    for layer in _layers(qs, scale, top, *_reduced_constraints(chardata, m)):
+        pass
     half_total = m * scale // 2
-    bound = top - half_total
-    suffix = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + qs[j]
-
-    ngen = len(chardata)
-    dens = [den for den, _ in chardata]
-    vecs = [vec for _, vec in chardata]
-    sums = [0] * ngen
-    out: dict[int, int] = {}
-
-    def walk(j: int, cost: int, fr: int) -> None:
-        if j == m:
-            for s, den in zip(sums, dens):
-                if s % den:
-                    return
-            base = cost - half_total
-            sign = -1 if fr % 2 else 1
-            for t in range(fr + 1):
-                e = base + t * scale
-                if e > bound:
-                    break
-                out[e] = out.get(e, 0) + sign * (-1 if t % 2 else 1) * comb(fr, t)
-            return
-        rest = suffix[j + 1]
-        if cost + scale + rest <= top:
-            walk(j + 1, cost + scale, fr)
-        v, step = 1, qs[j]
-        while cost + v * step + rest <= top:
-            for gi in range(ngen):
-                sums[gi] += vecs[gi][j]
-            walk(j + 1, cost + v * step, fr + 1)
-            v += 1
-        for gi in range(ngen):
-            sums[gi] -= (v - 1) * vecs[gi][j]
-
-    walk(0, 0, 0)
-    return {Fraction(e, scale): v for e, v in out.items() if v}
+    return {
+        Fraction(e - half_total, scale): c for poly in layer.values() for e, c in poly.items()
+    }
 
 
 @lru_cache(maxsize=None)
 def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
-    """E-function of (f, G) from the projected series, one walk per fixed locus."""
+    """E-function of (f, G) from the projected series, one pass per fixed locus."""
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     qf = weights(f).q

@@ -6,9 +6,14 @@ polynomial and places the survivors on the Hodge table one element at a
 time, and the series engine runs one character walk per element.  They are
 slow but follow the paper's sector sum literally, so the package's sums over
 fixed loci are checked against them on small groups.
+
+`invariant_sector_series` is the series engine's original recursive walk
+over character tuples, the oracle for its one-pass-per-coordinate
+replacement.
 """
 
 from fractions import Fraction
+from math import comb, lcm
 
 from orbefun import (
     AbelianSubgroup,
@@ -20,8 +25,62 @@ from orbefun import (
     weights,
 )
 from orbefun.basis_engine import milnor_basis
-from orbefun.series_engine import _invariant_sector_series
 from orbefun.symmetry import character_data, character_invariant, sorted_elements
+
+
+def invariant_sector_series(
+    qsub: tuple[Fraction, ...],
+    chardata: tuple[tuple[int, tuple[int, ...]], ...],
+) -> dict[Fraction, int]:
+    """Invariant part of the coordinate-series product, as y-degree -> coeff.
+
+    Enumerates character tuples recursively with suffix pruning against the
+    scaled budget; each surviving tuple deposits its binomial expansion up
+    to the support bound.
+    """
+    m = len(qsub)
+    scale = lcm(2, *(q.denominator for q in qsub))
+    qs = [int(q * scale) for q in qsub]
+    top = sum(scale - v for v in qs)
+    half_total = m * scale // 2
+    bound = top - half_total
+    suffix = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + qs[j]
+
+    ngen = len(chardata)
+    dens = [den for den, _ in chardata]
+    vecs = [vec for _, vec in chardata]
+    sums = [0] * ngen
+    out: dict[int, int] = {}
+
+    def walk(j: int, cost: int, fr: int) -> None:
+        if j == m:
+            for s, den in zip(sums, dens):
+                if s % den:
+                    return
+            base = cost - half_total
+            sign = -1 if fr % 2 else 1
+            for t in range(fr + 1):
+                e = base + t * scale
+                if e > bound:
+                    break
+                out[e] = out.get(e, 0) + sign * (-1 if t % 2 else 1) * comb(fr, t)
+            return
+        rest = suffix[j + 1]
+        if cost + scale + rest <= top:
+            walk(j + 1, cost + scale, fr)
+        v, step = 1, qs[j]
+        while cost + v * step + rest <= top:
+            for gi in range(ngen):
+                sums[gi] += vecs[gi][j]
+            walk(j + 1, cost + v * step, fr + 1)
+            v += 1
+        for gi in range(ngen):
+            sums[gi] -= (v - 1) * vecs[gi][j]
+
+    walk(0, 0, 0)
+    return {Fraction(e, scale): v for e, v in out.items() if v}
 
 
 def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribution, ...]:
@@ -73,7 +132,7 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
     for g in sorted_elements(G):
         fixed = g.fixed_indices()
         prefactor = g.age - Fraction(f.n - len(fixed), 2)
-        inner = _invariant_sector_series(
+        inner = invariant_sector_series(
             tuple(qf[i] for i in fixed), character_data(G, fixed)
         )
         for e, coeff in inner.items():

@@ -65,9 +65,10 @@ def interleaved_polynomials(draw, max_vars=4):
 
 
 @st.composite
-def symmetric_pairs(draw, max_vars=4):
-    """A polynomial plus a random subgroup of its full symmetry group."""
-    f = draw(polynomials(max_vars=max_vars))
+def symmetric_pairs(draw, max_vars=4, polys=polynomials):
+    """A polynomial drawn from `polys` plus a random subgroup of its full
+    symmetry group."""
+    f = draw(polys(max_vars=max_vars))
     elems = sorted_elements(gf_group(f))
     gens = draw(st.lists(st.sampled_from(elems), min_size=0, max_size=2))
     return f, subgroup(f, tuple(gens))
