@@ -11,17 +11,25 @@ and signed E-function determine each other; the conversions live here.
 Canonical text form: terms sorted lexicographically by exponent pair,
         -1 * t^(-1/6) * tb^(1/6) + 2 * t^(0) * tb^(0)
 with a grouped "pretty" rendering  (t*tb)^(e) / (tb/t)^(e)  when exponents
-allow.  Both render back through `parse_efunction`.  JSON form: list of
-{"t": "a/b", "tbar": "c/d", "coeff": k} in the same order.
+allow.  Both render back through `parse_efunction`, which reads with the
+polynomial parser's `_Lexer` (whitespace insignificant, int := decimal digits):
+
+    expr := ['-'] term (('+' | '-') term)*
+    term := int | [int '*'] base ['^' exp] ('*' base ['^' exp])*
+    base := 't' | 'tb' | '(t*tb)' | '(tb/t)'
+    exp  := rat | '(' rat ')'      rat := ['-'] int ['/' int], nonzero denominator
+
+JSON form: list of {"t": "a/b", "tbar": "c/d", "coeff": k} in the same
+order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InputSyntaxError, ModeError
-from .invertible import InvertiblePolynomial, weights
+from .invertible import InvertiblePolynomial, _grammar, _Lexer, weights
 
 Term = tuple[Fraction, Fraction]
 
@@ -37,10 +45,6 @@ class BiExpPolynomial:
             for (et, etb), c in terms.items():
                 if c:
                     self.terms[(Fraction(et), Fraction(etb))] = int(c)
-
-    @classmethod
-    def single(cls, et: Fraction | int, etb: Fraction | int, coeff: int = 1) -> "BiExpPolynomial":
-        return cls({(Fraction(et), Fraction(etb)): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -121,15 +125,40 @@ class BiExpPolynomial:
         ]
 
     @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "BiExpPolynomial":
+    def from_json_obj(cls, obj: object) -> "BiExpPolynomial":
+        """Read the JSON form back; anything else is an InputSyntaxError."""
+        if not isinstance(obj, list):
+            raise InputSyntaxError(f"E-function JSON must be a list of terms, got {obj!r}", 0)
         terms: dict[Term, int] = {}
         for entry in obj:
-            key = (Fraction(str(entry["t"])), Fraction(str(entry["tbar"])))
-            terms[key] = terms.get(key, 0) + int(entry["coeff"])  # type: ignore[arg-type]
+            if not isinstance(entry, dict) or set(entry) != {"t", "tbar", "coeff"}:
+                raise InputSyntaxError(
+                    f"E-function term must have exactly the keys t, tbar, coeff, got {entry!r}", 0
+                )
+            key = (_json_rational(entry["t"], "t"), _json_rational(entry["tbar"], "tbar"))
+            terms[key] = terms.get(key, 0) + _json_int(entry["coeff"], "coeff")
         return cls(terms)
 
     def __repr__(self) -> str:
         return f"BiExpPolynomial({self.pretty()})"
+
+
+def _json_int(value: object, what: str) -> int:
+    """An integer from JSON data; bools and floats are rejected."""
+    if type(value) is int:
+        return value
+    raise InputSyntaxError(f"{what} must be an integer, got {value!r}", 0)
+
+
+def _json_rational(value: object, what: str) -> Fraction:
+    """An exact rational from JSON data, an integer or a string such as
+    '-1/6'; bools and floats are rejected."""
+    try:
+        if isinstance(value, str) or type(value) is int:
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InputSyntaxError(f"{what} must be an exact rational, got {value!r}", 0)
 
 
 def _joined(i: int, coeff: int, body: str) -> str:
@@ -142,159 +171,78 @@ def _joined(i: int, coeff: int, body: str) -> str:
 # parsing (accepts both the canonical and the grouped pretty form)
 
 
+_EFUNCTION_GRAMMAR = _grammar("+-*/^()", tb="tb", t="t")
+
+
 def parse_efunction(text: str) -> BiExpPolynomial:
-    toks = _tokenize(text)
-    if not toks:
-        raise InputSyntaxError("empty expression", 0)
-    k = 0
-    end = len(text)
-
-    def peek():
-        return toks[k] if k < len(toks) else ("end", None, end)
-
-    def expect(kind: str):
-        nonlocal k
-        t, v, pos = peek()
-        if t != kind:
-            raise InputSyntaxError(f"expected {kind!r}", pos)
-        k += 1
-        return v
-
-    def parse_rational() -> Fraction:
-        nonlocal k
-        sign = 1
-        t, v, pos = peek()
-        if t == "-":
-            sign = -1
-            k += 1
-        num = expect("int")
-        den = 1
-        t, v, pos = peek()
-        if t == "/":
-            k += 1
-            den = expect("int")
-        return Fraction(sign * num, den)
-
-    def parse_exponent() -> Fraction:
-        nonlocal k
-        t, v, pos = peek()
-        if t == "(":
-            k += 1
-            val = parse_rational()
-            expect(")")
-            return val
-        return parse_rational()
-
-    def parse_base() -> tuple[int, int]:
-        nonlocal k
-        t, v, pos = peek()
-        if t == "t":
-            k += 1
-            return (1, 0)
-        if t == "tb":
-            k += 1
-            return (0, 1)
-        if t == "(":
-            k += 1
-            first, _, pos1 = peek()
-            if first == "t":
-                k += 1
-                expect("*")
-                expect("tb")
-                expect(")")
-                return (1, 1)
-            if first == "tb":
-                k += 1
-                expect("/")
-                expect("t")
-                expect(")")
-                return (-1, 1)
-            raise InputSyntaxError("expected t or tb inside parentheses", pos1)
-        raise InputSyntaxError("expected a base t, tb, (t*tb) or (tb/t)", pos)
-
+    lex = _Lexer(_EFUNCTION_GRAMMAR, text, "empty expression")
+    if lex.peek()[0] == "+":
+        raise InputSyntaxError("unexpected '+'", lex.peek()[2])
+    sign = -1 if lex.accept("-") else 1
     terms: dict[Term, int] = {}
-    first_term = True
     while True:
-        sign = 1
-        t, v, pos = peek()
-        if t == "-":
-            sign = -1
-            k += 1
-        elif t == "+":
-            if first_term:
-                raise InputSyntaxError("unexpected '+'", pos)
-            k += 1
-        elif not first_term:
-            if t == "end":
-                break
-            raise InputSyntaxError("expected '+' or '-' between terms", pos)
-        first_term = False
-
-        coeff = 1
-        have_factor = False
-        t, v, pos = peek()
-        if t == "int":
-            coeff = v
-            k += 1
-            t, v, pos = peek()
-            if t == "*":
-                k += 1
-            else:
-                have_factor = True  # bare constant
-                et = etb = Fraction(0)
-        if not have_factor:
-            et = etb = Fraction(0)
-            while True:
-                bt, btb = parse_base()
-                e = Fraction(1)
-                t, v, pos = peek()
-                if t == "^":
-                    k += 1
-                    e = parse_exponent()
-                et += bt * e
-                etb += btb * e
-                t, v, pos = peek()
-                if t == "*":
-                    k += 1
-                    continue
-                break
-        key = (et, etb)
+        key, coeff = _term(lex)
         terms[key] = terms.get(key, 0) + sign * coeff
-        t, v, pos = peek()
-        if t == "end":
-            break
-    return BiExpPolynomial(terms)
+        if lex.accept("end"):
+            return BiExpPolynomial(terms)
+        sign = -1 if lex.accept("-") else 1
+        if sign == 1:
+            lex.expect("+", "expected '+' or '-' between terms")
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    toks: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if text.startswith("tb", i):
-            toks.append(("tb", "tb", i))
-            i += 2
-            continue
-        if ch == "t":
-            toks.append(("t", "t", i))
-            i += 1
-            continue
-        raise InputSyntaxError(f"unexpected character {ch!r}", i)
-    return toks
+def _term(lex: _Lexer) -> tuple[Term, int]:
+    """An unsigned term of the grammar above, as (exponents, coefficient)."""
+    coeff = 1
+    _, value, _ = lex.peek()
+    if lex.accept("int"):
+        coeff = value
+        if not lex.accept("*"):
+            return (Fraction(0), Fraction(0)), coeff  # bare constant
+    et = etb = Fraction(0)
+    while True:
+        bt, btb = _base(lex)
+        e = _exponent(lex) if lex.accept("^") else Fraction(1)
+        et += bt * e
+        etb += btb * e
+        if not lex.accept("*"):
+            return (et, etb), coeff
+
+
+def _base(lex: _Lexer) -> tuple[int, int]:
+    """t, tb, (t*tb) or (tb/t), as the exponents it contributes to (t, tb)."""
+    _, _, pos = lex.peek()
+    if lex.accept("t"):
+        return (1, 0)
+    if lex.accept("tb"):
+        return (0, 1)
+    if not lex.accept("("):
+        raise InputSyntaxError("expected a base t, tb, (t*tb) or (tb/t)", pos)
+    _, _, pos = lex.peek()
+    if lex.accept("t"):
+        for kind in ("*", "tb", ")"):
+            lex.expect(kind)
+        return (1, 1)
+    if lex.accept("tb"):
+        for kind in ("/", "t", ")"):
+            lex.expect(kind)
+        return (-1, 1)
+    raise InputSyntaxError("expected t or tb inside parentheses", pos)
+
+
+def _exponent(lex: _Lexer) -> Fraction:
+    """A rational ['-'] int ['/' int], optionally in parentheses."""
+    parenthesized = lex.accept("(")
+    sign = -1 if lex.accept("-") else 1
+    num = lex.expect("int")
+    den = 1
+    if lex.accept("/"):
+        _, _, pos = lex.peek()
+        den = lex.expect("int")
+        if den == 0:
+            raise InputSyntaxError("zero denominator", pos)
+    if parenthesized:
+        lex.expect(")")
+    return Fraction(sign * num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +264,6 @@ class HodgeTable:
 
     def sorted_entries(self) -> list[tuple[Term, tuple[int, int]]]:
         return sorted(self.entries.items())
-
-    def hodge_numbers(self) -> dict[Term, int]:
-        """Aggregated dimensions h^{p,q} = even + odd."""
-        return {pq: de + do for pq, (de, do) in self.entries.items()}
 
     @property
     def total_dimension(self) -> int:

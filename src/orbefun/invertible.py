@@ -28,6 +28,10 @@ verifies its answer.
     term   := [int '*']? factor ('*' factor)*
     factor := var ('^' int)?
     var    := 'w' | 'x' | 'y' | 'z' | 'x1' ... 'x99'     (case sensitive)
+    int    := decimal digits
+
+It is read by `_Lexer`, the one tokenizer and token cursor of the package,
+which `parse_efunction` shares under its own grammar.
 
 Numeric coefficients are accepted, reduced to presence and reported through
 a CoefficientWarning; no computed invariant depends on them.
@@ -35,6 +39,7 @@ a CoefficientWarning; no computed invariant depends on them.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,41 +134,66 @@ def _monomial_text(row: Sequence[int], variables: Sequence[str]) -> str:
 # parsing
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    toks: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+*^":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in "wxyz":
-            if ch == "x" and i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit() and j - i < 3:
-                    j += 1
-                name = text[i:j]
-                if name[1] == "0":
-                    raise InputSyntaxError(f"invalid variable {name!r}", i)
-                toks.append(("var", name, i))
-                i = j
-                continue
-            toks.append(("var", ch, i))
-            i += 1
-            continue
-        raise InputSyntaxError(f"unexpected character {ch!r}", i)
-    return toks
+class _Lexer:
+    """The one tokenizer and token cursor, shared by `parse_polynomial` and
+    `parse_efunction`.
+
+    The text is scanned up front into (kind, value, position) tokens under a
+    `_grammar` regex; a character that no alternative matches, or a text with
+    no token (`empty` names it), is an InputSyntaxError.  Past the last token
+    `peek` returns ("end", None, len(text)).
+    """
+
+    def __init__(self, grammar: re.Pattern[str], text: str, empty: str):
+        self.tokens: list[tuple[str, object, int]] = []
+        self.k = 0
+        self.end = len(text)
+        pos = 0
+        while pos < self.end:
+            m = grammar.match(text, pos)
+            if m is None:
+                raise InputSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            kind, value = m.lastgroup, m.group()
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:  # beyond the interpreter's digit limit
+                    raise InputSyntaxError("integer too long", pos) from None
+            elif kind == "op":
+                kind = value
+            if kind != "space":
+                self.tokens.append((kind, value, pos))
+            pos = m.end()
+        if not self.tokens:
+            raise InputSyntaxError(empty, 0)
+
+    def peek(self) -> tuple[str, object, int]:
+        return self.tokens[self.k] if self.k < len(self.tokens) else ("end", None, self.end)
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of `kind`."""
+        if self.peek()[0] != kind:
+            return False
+        self.k += 1
+        return True
+
+    def expect(self, kind: str, message: str | None = None) -> object:
+        """Consume the next token, which must be of `kind`; return its value."""
+        _, value, pos = self.peek()
+        if not self.accept(kind):
+            raise InputSyntaxError(message or f"expected {kind!r}", pos)
+        return value
+
+
+def _grammar(ops: str, **words: str) -> re.Pattern[str]:
+    """Named alternatives: `space` (skipped), `op` (one-character operators,
+    each its own kind), `int` (decimal digits, exactly those `int()` reads)
+    and the grammar's words, whose kind is their name."""
+    alternatives = {"space": r"\s+", "op": f"[{re.escape(ops)}]", "int": r"\d+", **words}
+    return re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in alternatives.items()))
+
+
+_POLYNOMIAL_GRAMMAR = _grammar("+*^", var=r"x\d{1,2}|[wxyz]")
 
 
 def parse_polynomial(text: str) -> InvertiblePolynomial:
@@ -173,20 +203,15 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     NotDecomposableError for structural ones (wrong monomial count, repeated
     monomial, unmatched exponent patterns).
     """
-    toks = _tokenize(text)
-    if not toks:
-        raise InputSyntaxError("empty polynomial", 0)
-    end = len(text)
-    k = 0
+    lex = _Lexer(_POLYNOMIAL_GRAMMAR, text, "empty polynomial")
+    for kind, name, pos in lex.tokens:
+        if kind == "var" and name[1:2] == "0":
+            raise InputSyntaxError(f"invalid variable {name!r}", pos)
 
-    def peek() -> tuple[str, object, int]:
-        return toks[k] if k < len(toks) else ("end", None, end)
-
-    terms: list[tuple[list[tuple[str, int]], int]] = []
+    terms: list[list[tuple[str, int]]] = []
     while True:
-        kind, value, pos = peek()
-        term_pos = pos
-        if kind == "int":
+        _, value, pos = lex.peek()
+        if lex.accept("int"):
             warnings.warn(
                 f"coefficient {value} on the monomial at position {pos} is ignored",
                 CoefficientWarning,
@@ -194,53 +219,23 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
             )
             if value == 0:
                 raise NotInvertibleError(f"zero coefficient at position {pos}")
-            k += 1
-            kind, value, pos = peek()
-            if kind != "*":
-                raise InputSyntaxError("expected '*' after coefficient", pos)
-            k += 1
+            lex.expect("*", "expected '*' after coefficient")
         factors: list[tuple[str, int]] = []
         while True:
-            kind, value, pos = peek()
-            if kind != "var":
-                raise InputSyntaxError("expected a variable", pos)
-            name = value
-            k += 1
-            kind, value, pos = peek()
-            exp = 1
-            if kind == "^":
-                k += 1
-                kind, value, pos = peek()
-                if kind != "int":
-                    raise InputSyntaxError("expected an integer exponent", pos)
-                exp = value
-                k += 1
+            name = lex.expect("var", "expected a variable")
+            exp = lex.expect("int", "expected an integer exponent") if lex.accept("^") else 1
             factors.append((name, exp))
-            kind, value, pos = peek()
-            if kind == "*":
-                k += 1
-                continue
+            if not lex.accept("*"):
+                break
+        terms.append(factors)
+        if not lex.accept("+"):
             break
-        terms.append((factors, term_pos))
-        kind, value, pos = peek()
-        if kind == "end":
-            break
-        if kind != "+":
-            raise InputSyntaxError("expected '+' between monomials", pos)
-        k += 1
+    lex.expect("end", "expected '+' between monomials")
 
-    variables: list[str] = []
-    for factors, _ in terms:
-        for name, _e in factors:
-            if name not in variables:
-                variables.append(name)
-    rows = []
-    for factors, _pos in terms:
-        row = [0] * len(variables)
-        for name, e in factors:
-            row[variables.index(name)] += e
-        rows.append(tuple(row))
-    return from_exponent_matrix(tuple(rows), tuple(variables))
+    variables = tuple(dict.fromkeys(name for factors in terms for name, _ in factors))
+    rows = tuple(tuple(sum(e for name, e in factors if name == v) for v in variables)
+                 for factors in terms)
+    return from_exponent_matrix(rows, variables)
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,10 @@ def parse_element(text: str, n: int) -> GroupElement:
     m = _ELEMENT_RE.match(text)
     if not m:
         raise InputSyntaxError(f"expected an element of the form 1/r(a1,...,an): {text!r}", 0)
-    r = int(m.group(1))
+    try:
+        r = int(m.group(1))
+    except ValueError:  # beyond the interpreter's digit limit
+        raise InputSyntaxError("denominator too long", text.index("/") + 1) from None
     if r < 1:
         raise InputSyntaxError("denominator must be positive", text.index("/") + 1)
     body = m.group(2)

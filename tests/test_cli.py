@@ -246,3 +246,72 @@ def test_corpus_unchanged_under_optimize(capsys):
     )
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize("poly", ["x^²", "x²^3 + y^2"])
+def test_non_decimal_digit_exits_2(capsys, poly):
+    code, out, err = run(capsys, "info", poly)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unexpected character '²'")
+
+
+MALFORMED_EXPECTATIONS = (
+    '{"variance": "abc"}',
+    '{"efunction": [{"t": "1/0", "tbar": "0", "coeff": 1}]}',
+    '{"chi": "two"}',
+    '{"variane": "99"}',
+    '{"chi": 2.9}',
+    '{"chi": true}',
+    '{"variance": 0.5}',
+    "[1,2]",
+)
+
+
+@pytest.mark.parametrize("expectations", MALFORMED_EXPECTATIONS)
+def test_corpus_malformed_expectations_text(tmp_path, capsys, expectations):
+    p = tmp_path / "bad.corpus"
+    p.write_text(f"bad ; x^3 ; Gf ; {expectations}\ngood ; x^3 ; Gf ; {{\"chi\": 2}}\n")
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p))
+    assert code == 4
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:3]}
+    assert rows["bad"] == ["ERROR"] * 9
+    assert rows["good"][-1] == "PASS" and "ERROR" not in rows["good"]
+    assert "FAILED (1): bad" in out
+    assert err.startswith("error: bad: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expectations", MALFORMED_EXPECTATIONS)
+def test_corpus_malformed_expectations_json(tmp_path, capsys, expectations):
+    p = tmp_path / "bad.corpus"
+    p.write_text(f"bad ; x^3 ; Gf ; {expectations}\ngood ; x^3 ; Gf\n")
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p), "--format", "json")
+    data = json.loads(out)
+    assert code == 4
+    bad, good = data["entries"]
+    assert set(bad["checks"].values()) == {"ERROR"}
+    assert "(at position 0)" in bad["error"]
+    assert good["ok"] is True
+    assert err == ""
+
+
+def test_corpus_expectations_read_exactly(tmp_path, capsys):
+    p = tmp_path / "ok.corpus"
+    p.write_text('a ; x^3 ; Gf ; {"chi": 2, "variance": "1/18"}\n'
+                 'b ; x^3 ; Gf ; {"variance": 1}\n'
+                 "c ; x^3 ; Gf ; {}\n")
+    code, out, _ = run(capsys, "corpus", "--corpus-file", str(p))
+    assert code == 4
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:4]}
+    assert rows["a"][-1] == "PASS"
+    assert rows["b"][-1] == "FAIL"
+    assert rows["c"][-1] == "-"
+
+
+def test_corpus_line_with_non_decimal_digit_is_one_error_row(tmp_path, capsys):
+    p = tmp_path / "digit.corpus"
+    p.write_text("bad ; x^² ; trivial\ngood ; x^3 ; Gf\n")
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p))
+    assert code == 4
+    assert "FAILED (1): bad" in out
+    assert err.startswith("error: bad: unexpected character '²'")

@@ -98,3 +98,16 @@ def test_psi_structure_checked_once_per_polynomial():
     assert all(r.statuses["psi"] == "PASS" for r in results)
     info = psi_structure_ok.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+def test_golden_expectations_ride_on_six_entries():
+    from orbefun.corpus import _GOLDEN
+
+    carried = {e.name: (e.poly, e.group) for e in default_corpus() if e.expectations}
+    assert sorted(carried) == [
+        "chain_3_2/G0", "diag_4_4/G0", "diag_4_4/Gf",
+        "fermat3/G0", "fermat3/trivial", "loop_2_2/trivial",
+    ]
+    assert set(carried.values()) == set(_GOLDEN)
+    assert all(run_entry(e).statuses["expect"] == "PASS"
+               for e in default_corpus() if e.expectations)
