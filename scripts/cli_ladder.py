@@ -45,6 +45,9 @@ FAILURES = (
     ("efunction", "x^4 + y^4", "--group", "1/3(1,0)"),
     ("efunction", "x^3", "--group", "1/3(1) ,, 1/3(2)"),
     ("efunction", "x^3", "--group", "1/3(1),"),
+    # element components are decimal digits: no underscore, no sign
+    ("efunction", "x^3 + y^3", "--group", "1/3(1_0,+2)"),
+    ("efunction", "x^3 + y^3", "--group", "1/3(-1,2)"),
 )
 
 

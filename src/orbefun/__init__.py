@@ -2,44 +2,15 @@
 
 Everything is computed in rational arithmetic: weights, group elements,
 E-functions and Hodge tables are exact, never floating point.
+
+The top level holds the names that state the duality theorem
+E(f~, G~)(t, tb) = (-1)^n E(f, G)(t^-1, tb), and the error types.  Every
+other function lives in its own module: `invertible`, `symmetry`,
+`efunction`, `basis_engine`, `series_engine`, `corpus`, `cli`.
 """
 
-from .basis_engine import (
-    PairTable,
-    SectorContribution,
-    atom_basis,
-    degree_counts,
-    efunction_basis,
-    expected_multiplicity,
-    hodge_table,
-    milnor_basis,
-    pair_table,
-    psi,
-    psi_structure_ok,
-    sectors,
-    spectrum_identity_holds,
-)
-from .corpus import (
-    CorpusEntry,
-    EntryResult,
-    default_corpus,
-    format_corpus,
-    parse_corpus,
-    run_corpus,
-    run_entry,
-)
-from .efunction import (
-    BiExpPolynomial,
-    HodgeTable,
-    central_charge,
-    check_duality,
-    e_to_hodge,
-    exponent_mean,
-    exponents,
-    hodge_from_efunction,
-    parse_efunction,
-    variance,
-)
+from .basis_engine import efunction_basis
+from .efunction import check_duality
 from .errors import (
     CoefficientWarning,
     DomainError,
@@ -51,109 +22,27 @@ from .errors import (
     OrbefunError,
     VerificationError,
 )
-from .invertible import (
-    Atom,
-    InvertiblePolynomial,
-    WeightSystem,
-    atom_polynomial,
-    determinant,
-    exponent_inverse,
-    from_exponent_matrix,
-    milnor_number,
-    parse_polynomial,
-    restrict,
-    transpose,
-    weights,
-)
+from .invertible import parse_polynomial, transpose
 from .series_engine import efunction_series
-from .symmetry import (
-    AbelianSubgroup,
-    GroupElement,
-    all_subgroups,
-    closure,
-    dual_group,
-    format_element,
-    gf_group,
-    grading_operator,
-    grading_subgroup,
-    identity,
-    is_in_sl,
-    pairing,
-    parse_element,
-    parse_group_spec,
-    sl_subgroup,
-    subgroup,
-)
+from .symmetry import dual_group, parse_group_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
-    "AbelianSubgroup",
-    "BiExpPolynomial",
+    "parse_polynomial",
+    "parse_group_spec",
+    "efunction_basis",
+    "efunction_series",
+    "transpose",
+    "dual_group",
+    "check_duality",
     "CoefficientWarning",
-    "CorpusEntry",
     "DomainError",
-    "EntryResult",
-    "GroupElement",
-    "HodgeTable",
     "InputSyntaxError",
-    "InvertiblePolynomial",
     "MembershipError",
     "ModeError",
     "NotDecomposableError",
     "NotInvertibleError",
     "OrbefunError",
-    "PairTable",
-    "SectorContribution",
     "VerificationError",
-    "WeightSystem",
-    "all_subgroups",
-    "atom_basis",
-    "atom_polynomial",
-    "central_charge",
-    "check_duality",
-    "closure",
-    "default_corpus",
-    "degree_counts",
-    "determinant",
-    "dual_group",
-    "e_to_hodge",
-    "efunction_basis",
-    "efunction_series",
-    "expected_multiplicity",
-    "exponent_inverse",
-    "exponent_mean",
-    "exponents",
-    "format_corpus",
-    "format_element",
-    "from_exponent_matrix",
-    "gf_group",
-    "grading_operator",
-    "grading_subgroup",
-    "hodge_from_efunction",
-    "hodge_table",
-    "identity",
-    "is_in_sl",
-    "milnor_basis",
-    "milnor_number",
-    "pair_table",
-    "pairing",
-    "parse_corpus",
-    "parse_efunction",
-    "parse_element",
-    "parse_group_spec",
-    "parse_polynomial",
-    "psi",
-    "psi_structure_ok",
-    "restrict",
-    "run_corpus",
-    "run_entry",
-    "sectors",
-    "sl_subgroup",
-    "spectrum_identity_holds",
-    "subgroup",
-    "transpose",
-    "variance",
-    "weights",
 ]

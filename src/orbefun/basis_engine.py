@@ -131,8 +131,8 @@ def degree_counts(f: InvertiblePolynomial) -> dict[Fraction, int]:
     return counts
 
 
-def _mul1(p: dict[Fraction, int], q: dict[Fraction, int]) -> dict[Fraction, int]:
-    out: dict[Fraction, int] = {}
+def _mul1(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = e1 + e2
@@ -144,18 +144,27 @@ def _mul1(p: dict[Fraction, int], q: dict[Fraction, int]) -> dict[Fraction, int]
     return out
 
 
+@lru_cache(maxsize=None)
 def spectrum_identity_holds(f: InvertiblePolynomial) -> bool:
     """Check sum_basis y^l * prod_i (1 - y^(q_i)) == prod_i (y^(q_i) - y).
 
     This ties the combinatorial basis to the weight system alone and is the
-    independent certificate that `milnor_basis` picked the right monomials.
+    independent certificate that `milnor_basis` picked the right monomials;
+    the corpus `mu` column reads it once per polynomial.  Exponents are
+    counted in units of 1/d, d the weights' common denominator, so the
+    products run on integers; a degree off that grid fails the check.
     """
-    q = weights(f).q
-    lhs = {e: c for e, c in degree_counts(f).items()}
-    rhs: dict[Fraction, int] = {Fraction(0): 1}
-    for qi in q:
-        lhs = _mul1(lhs, {Fraction(0): 1, qi: -1})
-        rhs = _mul1(rhs, {qi: 1, Fraction(1): -1})
+    ws = weights(f)
+    lhs = {}
+    for ell, count in degree_counts(f).items():
+        scaled = ell * ws.d
+        if scaled.denominator != 1:
+            return False
+        lhs[scaled.numerator] = count
+    rhs = {0: 1}
+    for w in ws.w:
+        lhs = _mul1(lhs, {0: 1, w: -1})
+        rhs = _mul1(rhs, {w: 1, ws.d: -1})
     return lhs == rhs
 
 
@@ -216,6 +225,7 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     """Bigraded dimensions split by sector parity (even = n_g even), summed
     over fixed loci and, within each, over ages weighted by their counts."""
@@ -235,8 +245,10 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
 
 @lru_cache(maxsize=None)
 def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
-    """E-function of (f, G): each Hodge-table entry (p, q) -> (even, odd)
-    becomes the term t^(p - n/2) * tb^(q - n/2) with coefficient even - odd."""
+    """E-function of (f, G), projected from the Hodge table: each entry
+    (p, q) -> (even, odd) becomes the term t^(p - n/2) * tb^(q - n/2) with
+    coefficient even - odd.  Cached too: the corpus battery reads each pair's
+    E-function more than once, and the projection runs on Fractions."""
     half = Fraction(f.n, 2)
     entries = hodge_table(f, G).entries
     return BiExpPolynomial({(p - half, q - half): de - do for (p, q), (de, do) in entries.items()})
@@ -254,12 +266,12 @@ def psi(f: InvertiblePolynomial, exps: tuple[int, ...]) -> GroupElement:
 
 class PairTable:
     """Multiset of (sector element, transpose-side element) pairs counted
-    over the invariant basis monomials of every sector."""
+    over the invariant basis monomials of every sector; `rows` is read-only."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: dict[tuple[GroupElement, GroupElement], int]):
-        self.rows = {k: int(v) for k, v in rows.items() if v}
+    def __init__(self, rows: Mapping[tuple[GroupElement, GroupElement], int]):
+        self.rows = MappingProxyType({k: int(v) for k, v in rows.items() if v})
 
     def transposed(self) -> "PairTable":
         return PairTable({(b, a): v for (a, b), v in self.rows.items()})
@@ -283,7 +295,6 @@ class PairTable:
         return f"PairTable({{{body}}})"
 
 
-@lru_cache(maxsize=None)
 def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
     """Count invariant monomials by (sector, psi image zero-extended).
 

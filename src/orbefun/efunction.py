@@ -20,12 +20,15 @@ polynomial parser's `_Lexer` (whitespace insignificant, int := decimal digits):
     exp  := rat | '(' rat ')'      rat := ['-'] int ['/' int], nonzero denominator
 
 JSON form: list of {"t": "a/b", "tbar": "c/d", "coeff": k} in the same
-order.
+order; an exponent is read back from a JSON integer or a string rat as
+above, and from nothing else.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InputSyntaxError, ModeError
@@ -35,16 +38,15 @@ Term = tuple[Fraction, Fraction]
 
 
 class BiExpPolynomial:
-    """Immutable-by-convention sparse polynomial in t, tb with Fraction exponents."""
+    """Sparse polynomial in t, tb with Fraction exponents; `terms` is a
+    read-only map, so a cached E-function cannot be changed by its callers."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
-        self.terms: dict[Term, int] = {}
-        if terms:
-            for (et, etb), c in terms.items():
-                if c:
-                    self.terms[(Fraction(et), Fraction(etb))] = int(c)
+        self.terms: Mapping[Term, int] = MappingProxyType({
+            (Fraction(et), Fraction(etb)): int(c) for (et, etb), c in (terms or {}).items() if c
+        })
 
     @property
     def is_zero(self) -> bool:
@@ -150,13 +152,20 @@ def _json_int(value: object, what: str) -> int:
     raise InputSyntaxError(f"{what} must be an integer, got {value!r}", 0)
 
 
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+
+
 def _json_rational(value: object, what: str) -> Fraction:
-    """An exact rational from JSON data, an integer or a string such as
-    '-1/6'; bools and floats are rejected."""
+    """An exact rational from JSON data: an integer, or a string
+    -?int['/' int] such as '-1/6' with a nonzero denominator.  Bools, floats,
+    signs, underscores, decimal points and exponent notation are rejected
+    before any arithmetic, so no string costs more than its length."""
+    if type(value) is int:
+        return Fraction(value)
     try:
-        if isinstance(value, str) or type(value) is int:
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+            return Fraction(*map(int, value.split("/")))
+    except (ValueError, ZeroDivisionError):  # past the digit limit, or n/0
         pass
     raise InputSyntaxError(f"{what} must be an exact rational, got {value!r}", 0)
 
@@ -250,17 +259,18 @@ def _exponent(lex: _Lexer) -> Fraction:
 
 
 class HodgeTable:
-    """Map (p, q) -> (dim even part, dim odd part) for an n-variable pair."""
+    """Map (p, q) -> (dim even part, dim odd part) for an n-variable pair;
+    `entries` is read-only."""
 
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Mapping[Term, tuple[int, int]]):
         self.n = n
-        self.entries: dict[Term, tuple[int, int]] = {
+        self.entries: Mapping[Term, tuple[int, int]] = MappingProxyType({
             (Fraction(p), Fraction(q)): (int(de), int(do))
             for (p, q), (de, do) in entries.items()
             if de or do
-        }
+        })
 
     def sorted_entries(self) -> list[tuple[Term, tuple[int, int]]]:
         return sorted(self.entries.items())

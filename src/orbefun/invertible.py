@@ -361,7 +361,6 @@ def atom_polynomial(kind: str, a: Sequence[int], variables: Sequence[str] | None
     return from_exponent_matrix(tuple(rows), variables)
 
 
-@lru_cache(maxsize=None)
 def determinant(f: InvertiblePolynomial) -> int:
     """det E, atom by atom: prod(a) for a chain, prod(a) - (-1)^m for a loop of length m."""
     d = 1
@@ -399,7 +398,6 @@ def _solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-@lru_cache(maxsize=None)
 def exponent_inverse(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^(-1) as row tuples; column j solves E*x = e_j."""
     cols = [_solve(f, [int(i == j) for i in range(f.n)]) for j in range(f.n)]
@@ -416,7 +414,6 @@ def weights(f: InvertiblePolynomial) -> WeightSystem:
     return WeightSystem(q, d)
 
 
-@lru_cache(maxsize=None)
 def milnor_number(f: InvertiblePolynomial) -> int:
     mu = prod((1 / qi - 1 for qi in weights(f).q), start=Fraction(1))
     if mu.denominator != 1 or mu < 1:

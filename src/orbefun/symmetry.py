@@ -214,7 +214,6 @@ def _sorted(elements: Iterable[GroupElement]) -> list[GroupElement]:
     return sorted(elements, key=lambda g: tuple(x * (den // g.r) for x in g.a))
 
 
-@lru_cache(maxsize=None)
 def sorted_elements(G: AbelianSubgroup) -> tuple[GroupElement, ...]:
     return tuple(_sorted(G.elements))
 
@@ -356,6 +355,7 @@ _GENERATOR_LIST_RE = re.compile(rf"{_GENERATOR}(?:\s*,?\s*{_GENERATOR})*")
 
 
 def parse_element(text: str, n: int) -> GroupElement:
+    """Read '1/r(a1,...,an)'; r and every a_i are decimal digits."""
     m = _ELEMENT_RE.match(text)
     if not m:
         raise InputSyntaxError(f"expected an element of the form 1/r(a1,...,an): {text!r}", 0)
@@ -369,10 +369,12 @@ def parse_element(text: str, n: int) -> GroupElement:
     parts = [p.strip() for p in body.split(",")] if body.strip() else []
     if len(parts) != n:
         raise DomainError(f"element {text.strip()!r} has {len(parts)} components, expected {n}")
+    if not all(p.isdecimal() for p in parts):  # int() alone takes signs and '_'
+        raise InputSyntaxError(f"invalid component in {text!r}", 0)
     try:
         nums = [int(p) for p in parts]
-    except ValueError as exc:
-        raise InputSyntaxError(f"invalid component in {text!r}", 0) from exc
+    except ValueError:  # beyond the interpreter's digit limit
+        raise InputSyntaxError("component too long", text.index("(") + 1) from None
     return GroupElement._from_ints(r, nums)
 
 
@@ -418,7 +420,6 @@ def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], Mapping[Fraction,
     return MappingProxyType({fixed: MappingProxyType(ages) for fixed, ages in out.items()})
 
 
-@lru_cache(maxsize=None)
 def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Integerized restriction of G's generators to the coordinates `fixed`.
 

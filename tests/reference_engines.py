@@ -15,17 +15,10 @@ replacement.
 from fractions import Fraction
 from math import comb, lcm
 
-from orbefun import (
-    AbelianSubgroup,
-    BiExpPolynomial,
-    HodgeTable,
-    InvertiblePolynomial,
-    SectorContribution,
-    restrict,
-    weights,
-)
-from orbefun.basis_engine import milnor_basis
-from orbefun.symmetry import character_data, character_invariant, sorted_elements
+from orbefun.basis_engine import SectorContribution, milnor_basis
+from orbefun.efunction import BiExpPolynomial, HodgeTable
+from orbefun.invertible import InvertiblePolynomial, restrict, weights
+from orbefun.symmetry import AbelianSubgroup, character_data, character_invariant, sorted_elements
 
 
 def invariant_sector_series(

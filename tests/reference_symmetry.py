@@ -7,15 +7,9 @@ closes under pairwise sums.  They are slow but obviously correct, so the
 package's coset-extension step is checked against them on small groups.
 """
 
-from orbefun import (
-    AbelianSubgroup,
-    GroupElement,
-    exponent_inverse,
-    identity,
-    is_in_sl,
-    pairing,
-    transpose,
-)
+from orbefun import transpose
+from orbefun.invertible import exponent_inverse
+from orbefun.symmetry import AbelianSubgroup, GroupElement, identity, is_in_sl, pairing
 
 
 def closure(n, gens):

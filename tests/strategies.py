@@ -7,8 +7,8 @@ exhaustive group enumeration inside property tests.
 
 from hypothesis import strategies as st
 
-from orbefun import from_exponent_matrix, gf_group, subgroup
-from orbefun.symmetry import sorted_elements
+from orbefun.invertible import from_exponent_matrix
+from orbefun.symmetry import gf_group, sorted_elements, subgroup
 
 
 def _atom_rows(kind, a):

@@ -9,32 +9,32 @@ from fractions import Fraction
 import pytest
 
 from orbefun import (
-    central_charge,
     check_duality,
-    determinant,
     dual_group,
     efunction_basis,
     efunction_series,
-    exponent_mean,
-    expected_multiplicity,
-    grading_operator,
-    grading_subgroup,
-    hodge_table,
-    milnor_basis,
-    milnor_number,
-    pair_table,
-    parse_efunction,
     parse_group_spec,
     parse_polynomial,
-    psi_structure_ok,
-    sl_subgroup,
-    spectrum_identity_holds,
     transpose,
-    variance,
-    weights,
+)
+from orbefun.basis_engine import (
+    expected_multiplicity,
+    hodge_table,
+    milnor_basis,
+    pair_table,
+    psi_structure_ok,
+    spectrum_identity_holds,
 )
 from orbefun.corpus import default_corpus
-from orbefun.symmetry import is_in_sl, sorted_elements
+from orbefun.efunction import central_charge, exponent_mean, parse_efunction, variance
+from orbefun.invertible import determinant, milnor_number, weights
+from orbefun.symmetry import (
+    grading_operator,
+    grading_subgroup,
+    is_in_sl,
+    sl_subgroup,
+    sorted_elements,
+)
 
 
 @pytest.fixture(scope="module")

@@ -2,31 +2,31 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from orbefun import (
-    atom_basis,
-    degree_counts,
     efunction_basis,
-    expected_multiplicity,
-    gf_group,
-    hodge_table,
-    identity,
-    milnor_basis,
-    milnor_number,
-    pair_table,
-    parse_element,
+    efunction_series,
     parse_group_spec,
     parse_polynomial,
+    transpose,
+)
+from orbefun.basis_engine import (
+    _chain_excluded,
+    atom_basis,
+    degree_counts,
+    expected_multiplicity,
+    hodge_table,
+    milnor_basis,
+    pair_table,
     psi,
     psi_structure_ok,
     sectors,
     spectrum_identity_holds,
-    subgroup,
-    transpose,
 )
-from orbefun.basis_engine import _chain_excluded
-from orbefun.symmetry import dual_group
+from orbefun.invertible import milnor_number
+from orbefun.symmetry import dual_group, gf_group, identity, parse_element, subgroup
 from strategies import polynomials, symmetric_pairs
 
 F = Fraction
@@ -217,3 +217,19 @@ def test_degree_law_for_psi(f):
     for m in milnor_basis(f):
         im = psi(f, m.exps)
         assert m.ell == im.age + F(im.n_fixed, 2)
+
+
+def test_cached_values_are_read_only():
+    f = parse_polynomial("x^3*y + y^2")
+    G = parse_group_spec(f, "Gf")
+    E = efunction_basis(f, G)
+    with pytest.raises(TypeError):
+        E.terms[(F(0), F(0))] = 7
+    with pytest.raises(TypeError):
+        del efunction_series(f, G).terms[(F(0), F(0))]
+    with pytest.raises(TypeError):
+        hodge_table(f, G).entries[(F(0), F(0))] = (1, 0)
+    T = pair_table(f, G)
+    with pytest.raises(TypeError):
+        T.rows[next(iter(T.rows))] = 5
+    assert efunction_basis(f, G) == E == efunction_series(f, G)

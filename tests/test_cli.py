@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from orbefun import parse_efunction
 from orbefun.cli import main
+from orbefun.efunction import parse_efunction
 
 
 def run(capsys, *argv):
@@ -57,7 +57,7 @@ def test_efunction_json_round_trips(capsys):
         capsys, "efunction", "x^3*y + y^2", "--format", "json", "--engine", "basis"
     )
     assert code == 0
-    from orbefun import BiExpPolynomial
+    from orbefun.efunction import BiExpPolynomial
 
     P = BiExpPolynomial.from_json_obj(json.loads(out))
     assert P == parse_efunction("(t*tb)^(-1/3) + 2 + (t*tb)^(1/3)")
@@ -315,3 +315,22 @@ def test_corpus_line_with_non_decimal_digit_is_one_error_row(tmp_path, capsys):
     assert code == 4
     assert "FAILED (1): bad" in out
     assert err.startswith("error: bad: unexpected character '²'")
+
+
+@pytest.mark.parametrize("spec", ["1/3(1_0,+2)", "1/3(-1,2)", "1/3(+1,2)"])
+def test_element_components_are_decimal_digits(capsys, spec):
+    # int() alone reads 1_0 as 10, +2 as 2 and -1 as -1 = 2 mod 3
+    code, out, err = run(capsys, "efunction", "x^3 + y^3", "--group", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid component")
+
+
+@pytest.mark.parametrize("variance", ["1.5", "1_0", "1e3", " 1/18", "+1/18"])
+def test_corpus_expectation_rationals_are_strict(tmp_path, capsys, variance):
+    p = tmp_path / "strict.corpus"
+    p.write_text(f'bad ; x^3 ; Gf ; {{"variance": "{variance}"}}\ngood ; x^3 ; Gf\n')
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p))
+    assert code == 4
+    assert "FAILED (1): bad" in out
+    assert err.startswith("error: bad: expectation variance must be an exact rational")

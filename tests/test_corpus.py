@@ -2,17 +2,18 @@
 
 import pytest
 
-from orbefun import (
+from orbefun import InputSyntaxError
+from orbefun import basis_engine
+from orbefun.basis_engine import psi_structure_ok, spectrum_identity_holds
+from orbefun.corpus import (
+    CHECKS,
     CorpusEntry,
-    InputSyntaxError,
     default_corpus,
     format_corpus,
     parse_corpus,
-    psi_structure_ok,
     run_corpus,
     run_entry,
 )
-from orbefun.corpus import CHECKS
 
 
 def test_default_corpus_is_large_and_named():
@@ -25,7 +26,8 @@ def test_default_corpus_is_large_and_named():
 
 
 def test_default_corpus_covers_all_small_subgroups():
-    from orbefun import all_subgroups, gf_group, parse_group_spec, parse_polynomial
+    from orbefun import parse_group_spec, parse_polynomial
+    from orbefun.symmetry import all_subgroups, gf_group
 
     entries = default_corpus()
     f = parse_polynomial("x^4 + y^4")
@@ -111,3 +113,39 @@ def test_golden_expectations_ride_on_six_entries():
     assert set(carried.values()) == set(_GOLDEN)
     assert all(run_entry(e).statuses["expect"] == "PASS"
                for e in default_corpus() if e.expectations)
+
+
+def test_spectrum_identity_checked_once_per_polynomial():
+    entries = [CorpusEntry(f"e{i}", "x^3*y + y^2*z + z^4", spec)
+               for i, spec in enumerate(("trivial", "G0", "SL", "Gf"))]
+    spectrum_identity_holds.cache_clear()
+    results = run_corpus(entries)
+    assert all(r.statuses["mu"] == "PASS" for r in results)
+    info = spectrum_identity_holds.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.fixture
+def fresh_spectrum_cache():
+    spectrum_identity_holds.cache_clear()
+    yield
+    spectrum_identity_holds.cache_clear()
+
+
+def test_corrupted_degree_fails_only_the_mu_column(monkeypatch, fresh_spectrum_cache):
+    real = basis_engine.degree_counts
+
+    def corrupted(f):
+        counts = real(f)
+        top = max(counts)
+        counts[top] -= 1  # one top-degree monomial moved up by 1
+        counts[top + 1] = 1
+        return counts
+
+    monkeypatch.setattr(basis_engine, "degree_counts", corrupted)
+    result = run_entry(CorpusEntry("c", "x^3*y + y^2", "Gf", {"chi": 4}))
+    assert result.error is None
+    assert result.statuses["mu"] == "FAIL"
+    others = {k: v for k, v in result.statuses.items() if k != "mu"}
+    assert set(others.values()) <= {"PASS", "-"}
+    assert others["engines"] == others["duality"] == others["expect"] == "PASS"

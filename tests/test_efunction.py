@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbefun import (
+from orbefun import InputSyntaxError, ModeError, check_duality, parse_polynomial
+from orbefun.efunction import (
     BiExpPolynomial,
     HodgeTable,
-    InputSyntaxError,
-    ModeError,
     central_charge,
-    check_duality,
     e_to_hodge,
     exponent_mean,
     exponents,
     hodge_from_efunction,
     parse_efunction,
-    parse_polynomial,
     variance,
 )
 
@@ -138,7 +135,9 @@ def test_hodge_from_efunction_splits_by_sign():
 
 def test_round_trip_table_to_efunction():
     f = parse_polynomial("x^4 + y^4")
-    from orbefun import efunction_basis, gf_group, hodge_table
+    from orbefun import efunction_basis
+    from orbefun.basis_engine import hodge_table
+    from orbefun.symmetry import gf_group
 
     G = gf_group(f)
     T = hodge_table(f, G)
@@ -148,7 +147,8 @@ def test_round_trip_table_to_efunction():
 
 def test_exponents_and_variance_example():
     f = parse_polynomial("x^4 + y^4")
-    from orbefun import hodge_table, parse_group_spec
+    from orbefun import parse_group_spec
+    from orbefun.basis_engine import hodge_table
 
     T = hodge_table(f, parse_group_spec(f, "1/4(1,1)"))
     assert exponents(T) == (F(1, 2), F(1), F(1), F(1), F(1), F(3, 2))

@@ -11,13 +11,15 @@ from orbefun import (
     InputSyntaxError,
     NotDecomposableError,
     NotInvertibleError,
+    parse_polynomial,
+    transpose,
+)
+from orbefun.invertible import (
     determinant,
     exponent_inverse,
     from_exponent_matrix,
     milnor_number,
-    parse_polynomial,
     restrict,
-    transpose,
     weights,
 )
 from strategies import polynomials

@@ -2,24 +2,16 @@
 
 import json
 import warnings
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parsers as ref
-from orbefun import (
-    BiExpPolynomial,
-    CorpusEntry,
-    InputSyntaxError,
-    OrbefunError,
-    default_corpus,
-    format_corpus,
-    parse_corpus,
-    parse_efunction,
-    parse_group_spec,
-    parse_polynomial,
-)
+from orbefun import InputSyntaxError, OrbefunError, parse_group_spec, parse_polynomial
+from orbefun.corpus import CorpusEntry, default_corpus, format_corpus, parse_corpus, run_entry
+from orbefun.efunction import BiExpPolynomial, parse_efunction
 from orbefun.symmetry import format_element, parse_element
 from strategies import polynomials, symmetric_pairs
 
@@ -253,3 +245,19 @@ def test_corpus_file_round_trips(entries):
 def test_bundled_corpus_round_trips():
     text = format_corpus(default_corpus())
     assert format_corpus(parse_corpus(text)) == text
+
+
+@pytest.mark.parametrize("text", ["1.5", "1_0", "1e3", "+1", " 1", "1/0", "1/", "-", ""])
+def test_json_rationals_are_read_strictly(text):
+    with pytest.raises(InputSyntaxError, match="exact rational"):
+        BiExpPolynomial.from_json_obj([{"t": text, "tbar": "0", "coeff": 1}])
+
+
+def test_exponent_notation_is_rejected_before_any_arithmetic():
+    # Fraction("1e100000000") would build a 10^100000000 first
+    t0 = perf_counter()
+    with pytest.raises(InputSyntaxError):
+        BiExpPolynomial.from_json_obj([{"t": "1e100000000", "tbar": "0", "coeff": 1}])
+    result = run_entry(CorpusEntry("huge", "x^3", "Gf", {"variance": "1e100000000"}))
+    assert perf_counter() - t0 < 1.0
+    assert set(result.statuses.values()) == {"ERROR"}

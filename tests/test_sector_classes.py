@@ -9,19 +9,24 @@ from hypothesis import strategies as st
 
 from orbefun import (
     DomainError,
+    basis_engine,
     dual_group,
     efunction_basis,
     efunction_series,
-    format_element,
-    gf_group,
-    parse_element,
     parse_polynomial,
-    subgroup,
+    series_engine,
     transpose,
 )
-from orbefun import basis_engine, series_engine
 from orbefun.basis_engine import hodge_table, sectors
-from orbefun.symmetry import GroupElement, locus_ages, sorted_elements
+from orbefun.symmetry import (
+    GroupElement,
+    format_element,
+    gf_group,
+    locus_ages,
+    parse_element,
+    sorted_elements,
+    subgroup,
+)
 import reference_engines as ref
 from strategies import symmetric_pairs
 
@@ -92,6 +97,7 @@ def test_one_sector_computation_per_fixed_locus(monkeypatch):
     )
     series_engine.efunction_series.cache_clear()
     basis_engine.locus_bases.cache_clear()
+    basis_engine.hodge_table.cache_clear()
     basis_engine.efunction_basis.cache_clear()
     assert efunction_series(ft, Gd) == efunction_basis(ft, Gd)
     assert calls == {"series": 8, "basis": 8}

@@ -12,15 +12,13 @@ from orbefun import (
     dual_group,
     efunction_basis,
     efunction_series,
-    gf_group,
     parse_group_spec,
     parse_polynomial,
-    subgroup,
+    series_engine,
     transpose,
-    weights,
 )
-from orbefun import series_engine
-from orbefun.symmetry import character_data, character_invariant, locus_ages
+from orbefun.invertible import weights
+from orbefun.symmetry import character_data, character_invariant, gf_group, locus_ages, subgroup
 import reference_engines as ref
 from strategies import interleaved_polynomials, symmetric_pairs
 

@@ -8,20 +8,10 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbefun import (
-    VerificationError,
-    determinant,
-    exponent_inverse,
-    gf_group,
-    milnor_basis,
-    pairing,
-    parse_polynomial,
-    psi,
-    transpose,
-    weights,
-)
-from orbefun.invertible import _solve
-from orbefun.symmetry import GroupElement, sorted_elements
+from orbefun import VerificationError, parse_polynomial, transpose
+from orbefun.basis_engine import milnor_basis, psi
+from orbefun.invertible import _solve, determinant, exponent_inverse, weights
+from orbefun.symmetry import GroupElement, gf_group, pairing, sorted_elements
 from strategies import interleaved_polynomials, polynomials
 
 F = Fraction

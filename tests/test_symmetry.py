@@ -9,9 +9,16 @@ from orbefun import (
     DomainError,
     InputSyntaxError,
     MembershipError,
-    all_subgroups,
-    determinant,
     dual_group,
+    parse_group_spec,
+    parse_polynomial,
+    transpose,
+)
+from orbefun.invertible import determinant
+from orbefun.symmetry import (
+    GroupElement,
+    all_subgroups,
+    closure,
     format_element,
     gf_group,
     grading_operator,
@@ -20,13 +27,10 @@ from orbefun import (
     is_in_sl,
     pairing,
     parse_element,
-    parse_group_spec,
-    parse_polynomial,
     sl_subgroup,
+    sorted_elements,
     subgroup,
-    transpose,
 )
-from orbefun.symmetry import GroupElement, closure, sorted_elements
 import reference_symmetry as ref
 from strategies import polynomials, symmetric_pairs
 
