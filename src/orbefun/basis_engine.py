@@ -2,7 +2,7 @@
 
 Every sector g of a pair (f, G) fixes a coordinate subspace on which f
 restricts to a smaller invertible polynomial.  Its Milnor ring has an
-explicit monomial basis assembled atom by atom (`milnor_basis`); the
+explicit monomial basis, one exponent tuple per atom (`atom_basis`); the
 G-invariant basis monomials are placed on the Hodge diamond by
 
     monomial k, degree l = sum q_i*(k_i + 1)  ->  bidegree
@@ -11,16 +11,28 @@ G-invariant basis monomials are placed on the Hodge diamond by
 with n_g the number of fixed coordinates.  Summing sectors gives the Hodge
 table and, with sign (-1)^(n_g), the E-function.  The invariant monomials
 depend on g only through its fixed locus I, so the sum runs as
-sum_I A_I * S_I: the basis of f restricted to I is filtered once per locus
-(S_I), then placed once for each age of the locus, weighted by the number
-of elements A_I of that age (`symmetry.locus_ages`).
+sum_I A_I * S_I: the invariant monomials of f restricted to I are counted
+by degree once per locus (S_I), then placed once for each age of the locus,
+weighted by the number of elements A_I of that age (`symmetry.locus_ages`).
 
-The same basis carries a combinatorial map into the symmetry group of the
-transposed polynomial: k |-> psi(k), the solution x of E^T * x = k + 1 taken
-mod 1 (the fractional part of (k+1)^T * E^(-1)).
-Pairing each invariant monomial in sector g with the zero-extension of
-psi(k) yields the sector pairing table, the structure that transposes under
-(f, G) <-> (transpose, dual group).
+The count never lists the monomials.  A basis monomial is one basis tuple
+per atom, and both its scaled degree sum w_i*(k_i + 1) and its character
+k + 1 under each test of `symmetry.character_data` are sums over the atoms.
+So every atom gets a table (residue under each test, scaled degree) ->
+count, and the tables are convolved atom by atom.  A test closes after the
+last atom it touches, where only residue 0 survives; once all have closed,
+what is left is degree -> number of invariant monomials.  The entries held
+after each atom number at most the product of the atom-basis sizes so far:
+on x1^11 + ... + x5^11 with G0 the 100,000 basis monomials of the identity
+locus come down to at most 37 entries.
+
+Explicit monomials remain where the map psi needs them (`locus_bases`,
+`sectors`, `pair_table`, `psi_structure_ok`).  The same basis carries a
+combinatorial map into the symmetry group of the transposed polynomial:
+k |-> psi(k), the solution x of E^T * x = k + 1 taken mod 1 (the fractional
+part of (k+1)^T * E^(-1)).  Pairing each invariant monomial in sector g with
+the zero-extension of psi(k) yields the sector pairing table, the structure
+that transposes under (f, G) <-> (transpose, dual group).
 """
 
 from __future__ import annotations
@@ -30,8 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
+from operator import mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .efunction import BiExpPolynomial, HodgeTable
 from .errors import DomainError, VerificationError
@@ -123,12 +137,79 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
     return tuple(out)
 
 
+def _atom_table(
+    atom: Atom, w: tuple[int, ...], rows: list[tuple[int, tuple[int, ...]]]
+) -> Counter:
+    """(residue of k + 1 under each row, scaled degree sum w_i*(k_i + 1)) ->
+    number of basis exponents k of the atom, summed over its variables only."""
+    table: Counter = Counter()
+    idx = atom.var_indices
+    wa = [w[i] for i in idx]
+    va = [(den, [vec[i] for i in idx]) for den, vec in rows]
+    for k in atom_basis(atom):
+        c = [e + 1 for e in k]
+        table[tuple(sum(map(mul, c, v)) % den for den, v in va), sum(map(mul, c, wa))] += 1
+    return table
+
+
+def _products(
+    tables: list[Counter], ends: list[int], dens: list[int]
+) -> Iterator[dict[tuple[tuple[int, ...], int], int]]:
+    """The partial products of the atom tables, (residues, scaled degree) ->
+    count: first the empty product, then one after each atom.
+
+    Row r closes after atom ends[r], the last one it touches: only residue 0
+    survives there, so rows not yet opened or already closed hold 0.
+    """
+    held = {((0,) * len(dens), 0): 1}
+    yield held
+    for t, table in enumerate(tables):
+        closing = [r for r, end in enumerate(ends) if end == t]
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        for (state, deg), count in held.items():
+            for (res, d), c in table.items():
+                new = tuple((a + b) % den for a, b, den in zip(state, res, dens))
+                if any(new[r] for r in closing):
+                    continue
+                key = (new, deg + d)
+                nxt[key] = nxt.get(key, 0) + count * c
+        held = nxt
+        yield held
+
+
+def _invariant_counts(
+    fsub: InvertiblePolynomial, chardata: tuple[tuple[int, tuple[int, ...]], ...]
+) -> dict[Fraction, int]:
+    """Degree l -> number of basis monomials k of fsub whose character k + 1
+    passes every test in `chardata`, counted per atom and convolved.
+
+    Raises VerificationError unless the atom bases multiply out to the
+    Milnor number of fsub.
+    """
+    ws = weights(fsub)
+    w = ws.w
+    rows = [(den, vec) for den, vec in chardata if den > 1]
+    tables = [_atom_table(atom, w, rows) for atom in fsub.atoms]
+    mu = prod(sum(t.values()) for t in tables)
+    if mu != milnor_number(fsub):
+        raise VerificationError(
+            f"atom bases give {mu} basis monomials but Milnor number "
+            f"{milnor_number(fsub)} for {fsub.to_text()}"
+        )
+    # a row with den > 1 has a nonzero entry, so it touches some atom
+    ends = [
+        max(t for t, atom in enumerate(fsub.atoms) if any(vec[i] for i in atom.var_indices))
+        for _, vec in rows
+    ]
+    for held in _products(tables, ends, [den for den, _ in rows]):
+        pass
+    return {Fraction(deg, ws.d): count for (_, deg), count in held.items()}
+
+
 def degree_counts(f: InvertiblePolynomial) -> dict[Fraction, int]:
-    """How many basis monomials sit in each degree."""
-    counts: dict[Fraction, int] = {}
-    for m in milnor_basis(f):
-        counts[m.ell] = counts.get(m.ell, 0) + 1
-    return counts
+    """How many basis monomials sit in each degree: the atom tables
+    convolved under no constraint, the count `hodge_table` makes per locus."""
+    return _invariant_counts(f, ())
 
 
 def _mul1(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
@@ -149,10 +230,11 @@ def spectrum_identity_holds(f: InvertiblePolynomial) -> bool:
     """Check sum_basis y^l * prod_i (1 - y^(q_i)) == prod_i (y^(q_i) - y).
 
     This ties the combinatorial basis to the weight system alone and is the
-    independent certificate that `milnor_basis` picked the right monomials;
-    the corpus `mu` column reads it once per polynomial.  Exponents are
-    counted in units of 1/d, d the weights' common denominator, so the
-    products run on integers; a degree off that grid fails the check.
+    independent certificate for the atom bases and degree sums that
+    `hodge_table` counts with; the corpus `mu` column reads it once per
+    polynomial.  Exponents are counted in units of 1/d, d the weights'
+    common denominator, so the products run on integers; a degree off that
+    grid fails the check.
     """
     ws = weights(f)
     lhs = {}
@@ -196,22 +278,31 @@ def _invariant_basis(
     )
 
 
+def _loci(
+    f: InvertiblePolynomial, G: AbelianSubgroup
+) -> Iterator[tuple[tuple[int, ...], InvertiblePolynomial]]:
+    """Each fixed locus I of G with f restricted to I, whose weights must be
+    those of f on I."""
+    if G.ambient != f:
+        raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
+    qf = weights(f).q
+    for fixed in locus_ages(G):
+        fsub = restrict(f, fixed)
+        if fsub.n and weights(fsub).q != tuple(qf[i] for i in fixed):
+            raise VerificationError(f"weights of {fsub.to_text()} are not those of {f.to_text()}")
+        yield fixed, fsub
+
+
 @lru_cache(maxsize=None)
 def locus_bases(
     f: InvertiblePolynomial, G: AbelianSubgroup
 ) -> Mapping[tuple[int, ...], tuple[BasisMonomial, ...]]:
     """Fixed locus I of G -> G-invariant basis monomials of f restricted to I,
-    filtered once per locus (a cached, read-only map)."""
-    if G.ambient != f:
-        raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
-    qf = weights(f).q
-    out = {}
-    for fixed in locus_ages(G):
-        fsub = restrict(f, fixed)
-        if fsub.n and weights(fsub).q != tuple(qf[i] for i in fixed):
-            raise VerificationError(f"weights of {fsub.to_text()} are not those of {f.to_text()}")
-        out[fixed] = _invariant_basis(fsub, character_data(G, fixed))
-    return MappingProxyType(out)
+    filtered once per locus (a cached, read-only map).  Only the sector
+    pairing table needs the monomials themselves; `hodge_table` counts them."""
+    return MappingProxyType({
+        fixed: _invariant_basis(fsub, character_data(G, fixed)) for fixed, fsub in _loci(f, G)
+    })
 
 
 @lru_cache(maxsize=None)
@@ -228,14 +319,15 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
 @lru_cache(maxsize=None)
 def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     """Bigraded dimensions split by sector parity (even = n_g even), summed
-    over fixed loci and, within each, over ages weighted by their counts."""
-    bases = locus_bases(f, G)
+    over fixed loci and, within each, over ages weighted by their counts;
+    the invariant monomials of each locus are counted, never listed."""
+    classes = locus_ages(G)
     entries: dict[tuple[Fraction, Fraction], tuple[int, int]] = {}
-    for fixed, ages in locus_ages(G).items():
+    for fixed, fsub in _loci(f, G):
         ng = len(fixed)
         odd = ng % 2
-        degrees = Counter(m.ell for m in bases[fixed])
-        for age, count in ages.items():
+        degrees = _invariant_counts(fsub, character_data(G, fixed))
+        for age, count in classes[fixed].items():
             for ell, k in degrees.items():
                 key = (age + ng - ell, age + ell)
                 de, do = entries.get(key, (0, 0))

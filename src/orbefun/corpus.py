@@ -128,8 +128,8 @@ def _run_checks(entry: CorpusEntry) -> EntryResult:
 
     st["dualdual"] = _pf(dual_group(ft, Gd) == G)
     st["orders"] = _pf(G.order * Gd.order == determinant(f))
-    # milnor_basis raises unless it has mu monomials; the spectrum identity
-    # checks their degrees against the weights
+    # degree_counts raises unless the atom bases multiply out to mu; the
+    # spectrum identity checks their degrees against the weights
     st["mu"] = _pf(spectrum_identity_holds(f))
     st["psi"] = _pf(psi_structure_ok(f))
 

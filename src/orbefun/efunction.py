@@ -37,6 +37,10 @@ from .invertible import InvertiblePolynomial, _grammar, _Lexer, weights
 Term = tuple[Fraction, Fraction]
 
 
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class BiExpPolynomial:
     """Sparse polynomial in t, tb with Fraction exponents; `terms` is a
     read-only map, so a cached E-function cannot be changed by its callers."""
@@ -45,7 +49,9 @@ class BiExpPolynomial:
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
         self.terms: Mapping[Term, int] = MappingProxyType({
-            (Fraction(et), Fraction(etb)): int(c) for (et, etb), c in (terms or {}).items() if c
+            (_fraction(et), _fraction(etb)): c if type(c) is int else int(c)
+            for (et, etb), c in (terms or {}).items()
+            if c
         })
 
     @property

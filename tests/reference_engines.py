@@ -9,9 +9,12 @@ fixed loci are checked against them on small groups.
 
 `invariant_sector_series` is the series engine's original recursive walk
 over character tuples, the oracle for its one-pass-per-coordinate
-replacement.
+replacement.  `locus_degree_counts` reads the degrees of each locus's
+invariant monomials off the per-element filter in `sectors`, the oracle for
+the basis engine's per-atom count.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
@@ -93,6 +96,13 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
         )
         out.append(SectorContribution(g, fixed, mons))
     return tuple(out)
+
+
+def locus_degree_counts(
+    f: InvertiblePolynomial, G: AbelianSubgroup
+) -> dict[tuple[int, ...], Counter]:
+    """Fixed locus -> degree -> number of invariant basis monomials there."""
+    return {sec.fixed: Counter(m.ell for m in sec.monomials) for sec in sectors(f, G)}
 
 
 def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:

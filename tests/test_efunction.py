@@ -36,6 +36,20 @@ def test_zero_coefficients_are_dropped():
     assert P.terms == {}
 
 
+def test_int_fraction_and_mixed_input_build_equal_polynomials():
+    ints = BiExpPolynomial({(1, -2): 3, (0, 0): -1})
+    fracs = BiExpPolynomial({(F(1), F(-2)): 3, (F(0), F(0)): -1})
+    mixed = BiExpPolynomial({(F(2, 2), -2): 3, (0, F(0)): -1})
+    assert ints == fracs == mixed
+    for P in (ints, fracs, mixed):
+        assert all(type(e) is Fraction for key in P.terms for e in key)
+        assert all(type(c) is int for c in P.terms.values())
+        assert hash(frozenset(P.terms.items())) == hash(frozenset(fracs.terms.items()))
+    kept = (F(1, 3), F(2, 3))
+    P = BiExpPolynomial({kept: 5})
+    assert all(a is b for a, b in zip(next(iter(P.terms)), kept))
+
+
 def test_arithmetic():
     P = _poly((F(1, 2), F(1, 2), 1))
     Q = _poly((0, 0, 2))

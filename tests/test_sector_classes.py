@@ -93,7 +93,7 @@ def test_one_sector_computation_per_fixed_locus(monkeypatch):
         counting("series", series_engine._invariant_sector_series),
     )
     monkeypatch.setattr(
-        basis_engine, "_invariant_basis", counting("basis", basis_engine._invariant_basis)
+        basis_engine, "_invariant_counts", counting("basis", basis_engine._invariant_counts)
     )
     series_engine.efunction_series.cache_clear()
     basis_engine.locus_bases.cache_clear()
