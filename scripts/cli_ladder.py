@@ -13,8 +13,9 @@ The ladder: each polynomial below with `info`, and with every command in
 COMMANDS under every group in GROUPS, each in text and JSON; for every
 polynomial and group, `check-duality --engine series` in text, so that the
 series engine's output is checked on its own and not only against the basis
-engine's; the bundled corpus in text and JSON; and a few inputs that must
-fail with their exit code.
+engine's; `dual` and `check-duality` on two groups given by generator lists;
+one large pair; the bundled corpus in text and JSON; and a few inputs that
+must fail with their exit code.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ POLYNOMIALS = (
     "x^2*w + z^3 + w^2*y + y^2*x",
 )
 GROUPS = ("trivial", "G0", "SL", "Gf")
+# groups given by redundant generator lists, whose duals have several
+# generators with entries right of their pivots
+EXPLICIT = (
+    ("x^3*y + y^2 + z^2*w + w^3*z", "1/5(0,0,1,3), 1/5(0,0,4,2)"),
+    ("x^2*w + z^3 + w^2*y + y^2*x", "1/3(2,2,0,2) 1/3(1,1,0,1)"),
+)
+# one large pair: the dual is the transpose's whole group of order 16807
+LARGE = (("check-duality", "x1^7 + x2^7 + x3^7 + x4^7 + x5^7", "--group", "trivial"),)
 COMMANDS = ("check-duality", "dual", "pairs", "hodge", "variance", "efunction")
 FORMATS = ("text", "json")
 FAILURES = (
@@ -60,6 +69,11 @@ def ladder():
                 for fmt in FORMATS:
                     yield (command, poly, "--group", group, "--format", fmt)
             yield ("check-duality", poly, "--group", group, "--engine", "series")
+    for poly, group in EXPLICIT:
+        for command in ("dual", "check-duality"):
+            for fmt in FORMATS:
+                yield (command, poly, "--group", group, "--format", fmt)
+    yield from LARGE
     for fmt in FORMATS:
         yield ("corpus", "--format", fmt)
     yield from FAILURES

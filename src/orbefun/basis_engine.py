@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -322,17 +322,26 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     over fixed loci and, within each, over ages weighted by their counts;
     the invariant monomials of each locus are counted, never listed."""
     classes = locus_ages(G)
-    entries: dict[tuple[Fraction, Fraction], tuple[int, int]] = {}
+    # ages and degrees are multiples of 1/D, so the bidegrees are placed as
+    # integer numerators over D and become Fractions once each
+    D = lcm(G.N, weights(f).d)
+    entries: dict[tuple[int, int], list[int]] = {}
     for fixed, fsub in _loci(f, G):
         ng = len(fixed)
         odd = ng % 2
-        degrees = _invariant_counts(fsub, character_data(G, fixed))
+        degrees = [
+            (ell.numerator * (D // ell.denominator), k)
+            for ell, k in _invariant_counts(fsub, character_data(G, fixed)).items()
+        ]
         for age, count in classes[fixed].items():
-            for ell, k in degrees.items():
-                key = (age + ng - ell, age + ell)
-                de, do = entries.get(key, (0, 0))
-                entries[key] = (de + count * k * (1 - odd), do + count * k * odd)
-    return HodgeTable(f.n, entries)
+            a = age.numerator * (D // age.denominator)
+            top = a + ng * D
+            for ell, k in degrees:
+                entries.setdefault((top - ell, a + ell), [0, 0])[odd] += count * k
+    return HodgeTable(
+        f.n,
+        {(Fraction(p, D), Fraction(q, D)): (de, do) for (p, q), (de, do) in entries.items()},
+    )
 
 
 @lru_cache(maxsize=None)

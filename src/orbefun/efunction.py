@@ -41,6 +41,10 @@ def _fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _int(x) -> int:
+    return x if type(x) is int else int(x)
+
+
 class BiExpPolynomial:
     """Sparse polynomial in t, tb with Fraction exponents; `terms` is a
     read-only map, so a cached E-function cannot be changed by its callers."""
@@ -49,7 +53,7 @@ class BiExpPolynomial:
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
         self.terms: Mapping[Term, int] = MappingProxyType({
-            (_fraction(et), _fraction(etb)): c if type(c) is int else int(c)
+            (_fraction(et), _fraction(etb)): _int(c)
             for (et, etb), c in (terms or {}).items()
             if c
         })
@@ -273,7 +277,7 @@ class HodgeTable:
     def __init__(self, n: int, entries: Mapping[Term, tuple[int, int]]):
         self.n = n
         self.entries: Mapping[Term, tuple[int, int]] = MappingProxyType({
-            (Fraction(p), Fraction(q)): (int(de), int(do))
+            (_fraction(p), _fraction(q)): (_int(de), _int(do))
             for (p, q), (de, do) in entries.items()
             if de or do
         })

@@ -38,8 +38,8 @@ at once, so the constraints are reduced before the pass.  The tests of
 eliminated from the last coordinate backwards by unimodular 2x2 row
 operations (extended gcd), which keep the set of invariant characters and
 leave each row a different last coordinate, so rows close as early as the
-group allows.  SL of x1^7 + ... + x5^7, say, has the greedy generators
-1/7(0,0,0,1,6), 1/7(0,0,1,0,6), ..., all of them open to the last
+group allows.  SL of x1^7 + ... + x5^7, say, has the Hermite-form rows
+(1,0,0,0,6), (0,1,0,0,6), ..., (0,0,0,1,6), all of them open to the last
 coordinate; reduced, they become (0,0,0,1,6), (0,0,1,6,0), ..., each open
 across two coordinates only.
 

@@ -12,30 +12,52 @@ maximal diagonal symmetry group of f is
 a finite abelian group of order det E generated by the columns of E^(-1).
 The exponential grading operator g0 has components equal to the weights.
 
-Between G_f and the symmetry group of the transposed polynomial there is the
-exact pairing <g, h> = h^T * E * g mod Z.  The dual of a subgroup G of G_f is
-its annihilator under this pairing,
+Subgroups are lattices.  With N the exponent of G_f (the least common
+denominator of E^(-1), also the exponent of the transpose's group), a
+subgroup G is stored as the lattice
+
+    L = { a in Z^n : a/N in G },   N*Z^n inside L,
+
+in upper-triangular Hermite normal form: row j has pivot d_j, a divisor of
+N, and entries in [0, d_k) right of it.  The form is canonical, so equality
+and hashing read it; every element is sum c_j * row_j / N with
+0 <= c_j < N/d_j in exactly one way, so |G| = prod N/d_j; membership is a
+triangular reduction.  `gf_group` and `subgroup` take the form of their
+generators together with N*Z^n; |G_f| = det E is checked.
+
+Duals and SL parts are kernels.  Between G_f and the symmetry group of the
+transposed polynomial there is the exact pairing <g, h> = h^T * E * g mod Z.
+The dual of a subgroup G of G_f is its annihilator under this pairing,
 
     dual_group(f, G) = { h in G_ft : <g, h> = 0 for all g in G },
 
-of order det E / |G|, and dualizing twice returns G.
+of order det E / |G|, and dualizing twice returns G.  For g = a/N and
+h = b/N the pairing is b.(E*a/N) / N, so the dual is the set of b in Z^n
+killed mod N by the integer forms E*a/N, a over the rows of G's lattice;
+the rows N*e_i contribute the columns of E, which cut out G_ft.  The SL
+part of G_f is the kernel of the form (1, ..., 1) on G_f's lattice.  Both
+are `_kernel`: one form at a time, unimodular row steps leave one row with
+a nonzero value, which then enters as the multiple that kills it.
 
 A sector's contribution depends on its element only through the age and the
-fixed locus; `locus_ages` groups a subgroup into these classes.
+fixed locus; `locus_ages` counts these classes in one pass over the
+coordinates of the lattice rows, listing no element.
 
-Subgroups are enumerated one coset at a time by `_extend`.  A subgroup listed
-from its elements carries as `generators` the greedy lexicographic choice that
-the CLI prints: each element, in sorted order, not generated by those before it.
+Printed generators are the greedy lexicographic choice: each one the least
+element, in Fraction-tuple order, outside the subgroup generated by those
+before it.  Each is a coset minimum, and the Hermite form already holds
+them: they are its rows with pivot below N, last row first.  `elements`
+is enumerated only when read: by `all_subgroups`, the per-atom psi check,
+the sector list and the tests.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
-from math import gcd, lcm
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, total_ordering
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -156,81 +178,161 @@ def is_in_sl(g: GroupElement) -> bool:
     return sum(g.a) % g.r == 0
 
 
-@dataclass(frozen=True, eq=False)
+# ---------------------------------------------------------------------------
+# lattices: a subgroup G of G_f as {a in Z^n : a/N in G} in Hermite normal form
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        s0, t0, s1, t1 = s1, t1, s0 - k * s1, t0 - k * t1
+    return a, s0, t0
+
+
+def _hnf(N: int, gens: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The Hermite normal form of the lattice spanned by `gens` and N*Z^n.
+
+    Row j has zeros left of its pivot d_j = row[j], a divisor of N, and at
+    each column k right of it an entry in [0, d_k).  Every entry may be
+    taken mod N, since N*e_k is in the lattice; column j starts from the
+    row N*e_j and takes the gcd with each pending row, by unimodular 2x2
+    steps that clear the pending row there.
+    """
+    pending = [r for r in ([x % N for x in g] for g in gens) if any(r)]
+    rows = []
+    for j in range(n):
+        pivot = [0] * n
+        pivot[j] = N
+        rest = []
+        for r in pending:
+            b = r[j]
+            if not b:
+                rest.append(r)
+                continue
+            a = pivot[j]
+            g, s, t = _xgcd(a, b)
+            # [[s, t], [-b/g, a/g]] has determinant 1 and clears r[j]; the
+            # new pivot entry g < N survives the reduction mod N
+            pivot, r = (
+                [(s * x + t * y) % N for x, y in zip(pivot, r)],
+                [(a // g * y - b // g * x) % N for x, y in zip(pivot, r)],
+            )
+            if any(r):
+                rest.append(r)
+        rows.append(pivot)
+        pending = rest
+    for j in range(n):
+        d = rows[j][j]
+        for i in range(j):
+            k = rows[i][j] // d
+            if k:  # then row i is not N*e_i, so its pivot is below N too
+                rows[i] = [(x - k * y) % N for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+def _in_lattice(N: int, rows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Whether v lies in the lattice of the Hermite form `rows`: triangular
+    reduction, column by column."""
+    v = list(v)
+    for j, row in enumerate(rows):
+        x = v[j] % N
+        if x % row[j]:
+            return False
+        k = x // row[j]
+        if k:
+            v = [y - k * z for y, z in zip(v, row)]
+    return True
+
+
+def _kernel(
+    N: int, rows: tuple[tuple[int, ...], ...], forms: Iterable[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Hermite form of the vectors x of the lattice with Hermite form `rows`
+    that every form w kills: w.x = 0 mod N.
+
+    One form at a time: unimodular steps gather the values of the rows into
+    one pivot row of value g; the others then have value 0, and the pivot
+    row enters as its multiple N/gcd(N, g).
+    """
+    n = len(rows)
+    for w in forms:
+        kept = []
+        pivot, pv = None, 0
+        for r in rows:
+            v = sum(x * y for x, y in zip(r, w)) % N
+            if not v:
+                kept.append(r)
+            elif pivot is None:
+                pivot, pv = r, v
+            else:
+                g, s, t = _xgcd(pv, v)
+                kept.append([v // g * x - pv // g * y for x, y in zip(pivot, r)])
+                pivot, pv = [s * x + t * y for x, y in zip(pivot, r)], g
+        if pivot is not None:
+            kept.append([x * (N // gcd(N, pv)) for x in pivot])
+        rows = _hnf(N, kept, n)
+    return rows
+
+
+@dataclass(frozen=True)
 class AbelianSubgroup:
-    """A subgroup of G_f, carried with its ambient polynomial and a small
-    generating set; equality compares the element sets."""
+    """A subgroup G of G_f, carried with its ambient polynomial f as the
+    lattice {a in Z^n : a/N in G} in Hermite normal form (`rows`), N the
+    exponent of G_f; equality and hashing read the form."""
 
     ambient: InvertiblePolynomial
-    generators: tuple[GroupElement, ...]
-    elements: frozenset[GroupElement]
+    N: int
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return prod(self.N // row[j] for j, row in enumerate(self.rows))
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        """The greedy lexicographic generators: each the least element
+        outside the subgroup generated by those before it.  These are the
+        rows with pivot d_i below N, last row first.
+        Outside the span H of the rows below row i, the elements with the
+        most leading zeros are c*row_i + h with h in H and c not a multiple
+        of N/d_i; the least has c = 1 and is row i itself, whose entries
+        right of the pivot are already least modulo the rows below it."""
+        N = self.N
+        return tuple(
+            GroupElement._from_ints(N, row)
+            for j, row in reversed(tuple(enumerate(self.rows)))
+            if row[j] != N
+        )
+
+    @cached_property
+    def elements(self) -> frozenset[GroupElement]:
+        """Every sum of c_j * row_j / N with 0 <= c_j < N/d_j, each element
+        once."""
+        N = self.N
+        vecs = [(0,) * len(self.rows)]
+        for j, row in enumerate(self.rows):
+            steps = [[c * x % N for x in row] for c in range(N // row[j])]
+            vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
+        return frozenset(GroupElement._from_ints(N, v) for v in vecs)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbelianSubgroup):
-            return NotImplemented
-        return self.ambient == other.ambient and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.elements))
+        if g.n != len(self.rows) or self.N % g.r:
+            return False
+        m = self.N // g.r
+        return _in_lattice(self.N, self.rows, [x * m for x in g.a])
 
     def __str__(self) -> str:
         gens = ", ".join(format_element(g) for g in self.generators) or "1"
         return f"<{gens}> of order {self.order}"
 
 
-def _extend(H: frozenset[GroupElement], g: GroupElement) -> frozenset[GroupElement]:
-    """The subgroup generated by the subgroup H and the element g.
-
-    Precondition: H is a subgroup.  Its cosets are then equal or disjoint, so
-    H, H+g, H+2g, ... is complete at the first multiple of g already present.
-    """
-    elems = set(H)
-    step = g
-    while step not in elems:
-        elems.update(h + step for h in H)
-        step = step + g
-    return frozenset(elems)
-
-
-def closure(n: int, gens: Iterable[GroupElement]) -> frozenset[GroupElement]:
-    elems = frozenset({identity(n)})
-    for g in gens:
-        elems = _extend(elems, g)
-    return elems
-
-
-def _sorted(elements: Iterable[GroupElement]) -> list[GroupElement]:
-    """Elements in the order of their Fraction tuples, sorted by integer
-    keys over one common denominator."""
-    elements = list(elements)
-    den = lcm(*(g.r for g in elements)) if elements else 1
-    return sorted(elements, key=lambda g: tuple(x * (den // g.r) for x in g.a))
-
-
 def sorted_elements(G: AbelianSubgroup) -> tuple[GroupElement, ...]:
-    return tuple(_sorted(G.elements))
-
-
-def _reduce_generators(n: int, elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    gens: list[GroupElement] = []
-    known = frozenset({identity(n)})
-    for e in _sorted(elements):
-        if e not in known:
-            gens.append(e)
-            known = _extend(known, e)
-    return tuple(gens)
-
-
-def _from_elements(ambient: InvertiblePolynomial, elements: Iterable[GroupElement]) -> AbelianSubgroup:
-    elems = frozenset(elements)
-    return AbelianSubgroup(ambient, _reduce_generators(ambient.n, elems), elems)
+    """The elements in the order of their Fraction tuples: by their
+    numerators over N."""
+    return tuple(sorted(G.elements, key=lambda g: tuple(x * (G.N // g.r) for x in g.a)))
 
 
 def violated_row(f: InvertiblePolynomial, g: GroupElement) -> int | None:
@@ -247,16 +349,19 @@ def gf_contains(f: InvertiblePolynomial, g: GroupElement) -> bool:
 
 @lru_cache(maxsize=None)
 def gf_group(f: InvertiblePolynomial) -> AbelianSubgroup:
-    """The maximal diagonal symmetry group of f, enumerated eagerly."""
-    cols = tuple(zip(*exponent_inverse(f))) if f.n else ()
-    gens = tuple(dict.fromkeys(GroupElement(col) for col in cols))
-    elems = closure(f.n, gens)
-    if len(elems) != determinant(f):
-        raise VerificationError(f"|G_f| = {len(elems)} but det E = {determinant(f)} for {f.to_text()}")
-    return _from_elements(f, elems)
+    """The maximal diagonal symmetry group of f: the lattice spanned by the
+    columns of N*E^(-1), N the least common denominator of E^(-1)."""
+    inv = exponent_inverse(f)
+    N = lcm(*(x.denominator for row in inv for x in row))
+    cols = [[x.numerator * (N // x.denominator) for x in col] for col in zip(*inv)]
+    G = AbelianSubgroup(f, N, _hnf(N, cols, f.n))
+    if G.order != determinant(f):
+        raise VerificationError(f"|G_f| = {G.order} but det E = {determinant(f)} for {f.to_text()}")
+    return G
 
 
 def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSubgroup:
+    """The subgroup of G_f generated by `gens`."""
     gens = tuple(gens)
     for g in gens:
         if g.n != f.n:
@@ -267,7 +372,9 @@ def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSu
                 f"{format_element(g)} is not a symmetry of {f.to_text()}: "
                 f"monomial {row + 1} picks up a non-trivial character"
             )
-    return AbelianSubgroup(f, gens, closure(f.n, gens))
+    N = gf_group(f).N
+    rows = _hnf(N, ([x * (N // g.r) for x in g.a] for g in gens), f.n)
+    return AbelianSubgroup(f, N, rows)
 
 
 def grading_operator(f: InvertiblePolynomial) -> GroupElement:
@@ -284,8 +391,10 @@ def grading_subgroup(f: InvertiblePolynomial) -> AbelianSubgroup:
 
 @lru_cache(maxsize=None)
 def sl_subgroup(f: InvertiblePolynomial) -> AbelianSubgroup:
-    """Elements of G_f with integer age (the SL(n) part)."""
-    return _from_elements(f, (g for g in gf_group(f).elements if is_in_sl(g)))
+    """Elements of G_f with integer age (the SL(n) part): the kernel of the
+    form (1, ..., 1) on G_f's lattice."""
+    Gf = gf_group(f)
+    return AbelianSubgroup(f, Gf.N, _kernel(Gf.N, Gf.rows, ((1,) * f.n,)))
 
 
 def pairing(f: InvertiblePolynomial, g: GroupElement, h: GroupElement) -> Fraction:
@@ -301,41 +410,45 @@ def pairing(f: InvertiblePolynomial, g: GroupElement, h: GroupElement) -> Fracti
 
 @lru_cache(maxsize=None)
 def dual_group(f: InvertiblePolynomial, G: AbelianSubgroup) -> AbelianSubgroup:
-    """Annihilator of G inside the symmetry group of the transpose."""
+    """Annihilator of G inside the symmetry group of the transpose.
+
+    For g = a/N in G_f and h = b/N, h^T*E*g = b.(E*a/N)/N with E*a/N
+    integral, so the dual is the kernel on Z^n of the forms E*a/N over the
+    rows a of G's lattice.  Those rows include N*e_i, whose forms, the
+    columns of E, cut out G_ft itself (N is also its exponent).
+    """
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
-    ft = transpose(f)
-    # E*g is integral for g in G_f, so the pairing against h reduces to an
-    # integer-vector dot product with the numerators of h, modulo its order.
-    vecs = []
-    for g in G.generators:
-        eg = [sum(e * x for e, x in zip(row, g.a)) for row in f.exponents]
-        if any(v % g.r for v in eg):
-            raise VerificationError(f"E*g is not integral for the generator {format_element(g)}")
-        vecs.append([v // g.r for v in eg])
-    elems = [
-        h
-        for h in gf_group(ft).elements
-        if not any(sum(x * v for x, v in zip(h.a, vec)) % h.r for vec in vecs)
-    ]
-    return _from_elements(ft, elems)
+    N = G.N
+    forms = []
+    for a in G.rows:
+        ea = [sum(e * x for e, x in zip(row, a)) for row in f.exponents]
+        if any(v % N for v in ea):
+            raise VerificationError(
+                f"E*g is not integral for the generator {format_element(GroupElement._from_ints(N, a))}"
+            )
+        forms.append([v // N for v in ea])
+    unit = tuple(tuple(int(i == j) for j in range(f.n)) for i in range(f.n))
+    return AbelianSubgroup(transpose(f), N, _kernel(N, unit, forms))
 
 
 def all_subgroups(G: AbelianSubgroup) -> tuple[AbelianSubgroup, ...]:
     """Every subgroup of G, smallest first (breadth-first lattice walk)."""
-    n = G.ambient.n
-    seen: set[frozenset[GroupElement]] = {frozenset({identity(n)})}
-    frontier = list(seen)
+    n, N = G.ambient.n, G.N
+    vecs = [[x * (N // g.r) for x in g.a] for g in G.elements]
+    start = _hnf(N, (), n)
+    seen = {start}
+    frontier = [start]
     while frontier:
         base = frontier.pop()
-        for e in G.elements:
-            if e in base:
+        for v in vecs:
+            if _in_lattice(N, base, v):
                 continue
-            fs = _extend(base, e)
-            if fs not in seen:
-                seen.add(fs)
-                frontier.append(fs)
-    subs = [_from_elements(G.ambient, elems) for elems in seen]
+            rows = _hnf(N, (*base, v), n)
+            if rows not in seen:
+                seen.add(rows)
+                frontier.append(rows)
+    subs = [AbelianSubgroup(G.ambient, N, rows) for rows in seen]
     subs.sort(key=lambda H: (H.order, sorted_elements(H)))
     return tuple(subs)
 
@@ -412,27 +525,49 @@ def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], Mapping[Fraction,
     Both engines weigh a sector only through its age and its fixed locus, so
     they sum over these classes, computing once for each locus.  Loci and
     ages come in increasing order; the cached maps are read-only.
+
+    The classes are counted in one pass over the coordinates, building no
+    element: coordinate j of sum c_i * row_i is final once c_0..c_j are
+    chosen, so the state after row j is (the residues of coordinates j+1..,
+    the fixed coordinates so far, the sum of the numerators so far).
     """
-    counts = Counter((g.fixed_indices(), g.age) for g in G.elements)
+    N = G.N
+    layer = {((0,) * len(G.rows), (), 0): 1}
+    for j, row in enumerate(G.rows):
+        step = row[j:]
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
+        for (tail, fixed, s), k in layer.items():
+            for _ in range(N // row[j]):
+                x = tail[0]
+                key = (tail[1:], fixed + (j,) if x == 0 else fixed, s + x)
+                nxt[key] = nxt.get(key, 0) + k
+                tail = tuple((u + v) % N for u, v in zip(tail, step))
+        layer = nxt
+    if sum(layer.values()) != G.order:
+        raise VerificationError(f"the sector classes of {G} count {sum(layer.values())} elements")
     out: dict[tuple[int, ...], dict[Fraction, int]] = {}
-    for (fixed, age), k in sorted(counts.items()):
-        out.setdefault(fixed, {})[age] = k
+    for (_, fixed, s), k in sorted(layer.items()):
+        out.setdefault(fixed, {})[Fraction(s, N)] = k
     return MappingProxyType({fixed: MappingProxyType(ages) for fixed, ages in out.items()})
 
 
 def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Integerized restriction of G's generators to the coordinates `fixed`.
+    """Integerized restriction of the rows of G's lattice to the coordinates
+    `fixed`; the rows N*e_j, the identity, are left out.
 
-    Each generator h becomes a pair (D, v) with D the common denominator of
-    the restricted components and v = D*h on them.  A tuple c of integers,
-    one per fixed coordinate, is invariant under G as a character exactly
-    when sum(c_j * v_j) = 0 mod D for every generator.
+    Each row a becomes a pair (D, v) with D the common denominator of the
+    restricted components of a/N and v = D*a/N on them.  A tuple c of
+    integers, one per fixed coordinate, is invariant under G as a character
+    exactly when sum(c_j * v_j) = 0 mod D for every row.
     """
+    N = G.N
     out = []
-    for h in G.generators:
-        nums = [h.a[i] for i in fixed]
-        scale = gcd(h.r, *nums)
-        out.append((h.r // scale, tuple(x // scale for x in nums)))
+    for j, row in enumerate(G.rows):
+        if row[j] == N:
+            continue
+        nums = [row[i] for i in fixed]
+        scale = gcd(N, *nums)
+        out.append((N // scale, tuple(x // scale for x in nums)))
     return tuple(out)
 
 

@@ -4,12 +4,28 @@ These are the original closure algorithms: a breadth-first frontier that adds
 every generator to every element, a generator reduction that re-runs the
 whole closure after each new generator, and a subgroup-lattice walk that
 closes under pairwise sums.  They are slow but obviously correct, so the
-package's coset-extension step is checked against them on small groups.
+package's lattice forms are checked against them on small groups.
 """
+
+from dataclasses import dataclass
 
 from orbefun import transpose
 from orbefun.invertible import exponent_inverse
-from orbefun.symmetry import AbelianSubgroup, GroupElement, identity, is_in_sl, pairing
+from orbefun.symmetry import GroupElement, identity, is_in_sl, pairing
+
+
+@dataclass(frozen=True)
+class Group:
+    """A subgroup listed by its elements, with the generators the oracle
+    chose for it."""
+
+    ambient: object
+    generators: tuple
+    elements: frozenset
+
+    @property
+    def order(self):
+        return len(self.elements)
 
 
 def closure(n, gens):
@@ -38,7 +54,7 @@ def reduce_generators(n, elements):
 
 def from_elements(ambient, elements):
     elems = frozenset(elements)
-    return AbelianSubgroup(ambient, reduce_generators(ambient.n, elems), elems)
+    return Group(ambient, reduce_generators(ambient.n, elems), elems)
 
 
 def gf_group(f):
@@ -47,7 +63,7 @@ def gf_group(f):
 
 
 def subgroup(f, gens):
-    return AbelianSubgroup(f, tuple(gens), closure(f.n, gens))
+    return Group(f, tuple(gens), closure(f.n, gens))
 
 
 def sl_subgroup(f):

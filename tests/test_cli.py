@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -40,6 +41,22 @@ def test_info_json(capsys):
     assert data["milnor_number"] == 2
     assert data["gf_order"] == 3
     assert data["weights"] == ["1/3"]
+
+
+def test_info_and_dual_read_large_group_orders_from_lattices(capsys):
+    # |Gf| = det E = 50^4: the order and the dual are read from the lattice,
+    # with no element listed
+    poly = "x1^50 + x2^50 + x3^50 + x4^50"
+    t0 = perf_counter()
+    code, out, _ = run(capsys, "info", poly)
+    assert code == 0
+    assert "|Gf|: 6250000" in out
+    assert perf_counter() - t0 < 5
+    t0 = perf_counter()
+    code, out, _ = run(capsys, "dual", poly, "--group", "Gf")
+    assert code == 0
+    assert "dual group: <1> of order 1" in out
+    assert perf_counter() - t0 < 5
 
 
 def test_efunction_golden_text(capsys):

@@ -120,6 +120,18 @@ def test_hodge_table_drops_empty_rows():
     assert T.total_dimension == 1
 
 
+def test_hodge_table_keeps_the_fractions_it_is_given():
+    ints = HodgeTable(2, {(1, 0): (2, 0), (F(1, 2), 1): (0, 1)})
+    fracs = HodgeTable(2, {(F(1), F(0)): (2, 0), (F(1, 2), F(1)): (0, 1)})
+    assert ints == fracs
+    for T in (ints, fracs):
+        assert all(type(e) is Fraction for key in T.entries for e in key)
+        assert all(type(d) is int for dims in T.entries.values() for d in dims)
+    kept = (F(1, 3), F(2, 3))
+    T = HodgeTable(1, {kept: (1, 0)})
+    assert all(a is b for a, b in zip(next(iter(T.entries)), kept))
+
+
 def test_e_to_hodge_modes():
     T = HodgeTable(2, {(F(1), F(1)): (4, 0), (F(1, 2), F(1, 2)): (1, 0)})
     sl = e_to_hodge(T, "SL")

@@ -30,7 +30,7 @@ ERRORS = (
     "VerificationError",
 )
 
-# the other 52 names the top level used to re-export, by the module that defines them
+# the other 51 names the top level used to re-export, by the module that defines them
 MOVED = {
     "basis_engine": (
         "PairTable SectorContribution atom_basis degree_counts expected_multiplicity "
@@ -47,7 +47,7 @@ MOVED = {
         "from_exponent_matrix milnor_number restrict weights"
     ),
     "symmetry": (
-        "AbelianSubgroup GroupElement all_subgroups closure format_element gf_group "
+        "AbelianSubgroup GroupElement all_subgroups format_element gf_group "
         "grading_operator grading_subgroup identity is_in_sl pairing parse_element "
         "sl_subgroup subgroup"
     ),

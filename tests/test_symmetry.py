@@ -1,4 +1,4 @@
-"""Diagonal symmetry groups: closure, age, pairing, duality."""
+"""Diagonal symmetry groups: elements, age, pairing, duality."""
 
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from orbefun.invertible import determinant
 from orbefun.symmetry import (
     GroupElement,
     all_subgroups,
-    closure,
     format_element,
     gf_group,
     grading_operator,
@@ -74,9 +73,9 @@ def test_element_rejects_float_components():
         GroupElement((F(1, 2), 0.5))
 
 
-def test_closure_generates_cyclic_group():
+def test_subgroup_elements_of_cyclic_group():
     g = parse_element("1/4(1,3)", 2)
-    elems = closure(2, (g,))
+    elems = subgroup(parse_polynomial("x^4 + y^4"), (g,)).elements
     assert len(elems) == 4
 
 
