@@ -1,0 +1,241 @@
+#!/usr/bin/env python3
+"""Mutation checks: each recorded mutant must fail the tests named for it.
+
+    python scripts/mutants.py [NAME ...]
+
+Each row of MUTANTS is (name, file under src/, exact source text,
+replacement, test ids).  For every row, or for the rows NAME, the script
+copies `src/` to a temporary directory, replaces the source text there,
+and runs the named tests with pytest against that copy.  The mutant is
+killed when every named test fails (for a parametrized or hypothesis test,
+at least one of its cases), and it survives otherwise.  A source text that
+does not occur exactly once is an error, so the table has to follow the
+code.  The named tests are first run once on the unmutated `src/`, where
+they must pass.
+
+Exit status: 0 when every mutant is killed, 1 when one survives or a row is
+in error, 2 when the named tests fail on the unmutated tree.  Runs outside
+the tier-1 suite; standard library only, besides pytest for the tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+SERIES = "tests/test_series_engine.py::"
+BASIS = "tests/test_basis_counts.py::"
+LATTICES = "tests/test_lattices.py::"
+SOLVER = "tests/test_solver.py::"
+# the engine comparison: one engine against the other, no oracle
+ENGINES = (
+    SERIES + "test_matches_basis_engine_on_named_pairs",
+    "tests/test_acceptance.py::test_criterion_02_engine_equivalence",
+)
+
+MUTANTS = (
+    # the exact solver and det E
+    (
+        "solve without its row check",
+        "invertible.py",
+        "        if sum(e * x[j] for j, e in enumerate(row) if e) != b[i]:",
+        "        if False:",
+        (SOLVER + "test_solve_checks_its_answer",),
+    ),
+    (
+        "loop sign in determinant",
+        "invertible.py",
+        "prod(atom.a) - ((-1) ** atom.size",
+        "prod(atom.a) + ((-1) ** atom.size",
+        (SOLVER + "test_interleaved_examples", SOLVER + "test_solver_matches_leibniz_and_adjugate"),
+    ),
+    (
+        "loop closed with 1 + d",
+        "invertible.py",
+        "acc = Fraction(c, 1 - d)",
+        "acc = Fraction(c, 1 + d)",
+        (SOLVER + "test_interleaved_examples", SOLVER + "test_solver_matches_leibniz_and_adjugate"),
+    ),
+    # lattices
+    (
+        "_hnf without the reduction above the pivots",
+        "symmetry.py",
+        "            if k:  # then row i is not N*e_i, so its pivot is below N too",
+        "            if False:",
+        (LATTICES + "test_equal_generator_lists_give_equal_forms",),
+    ),
+    (
+        "greedy generators not reversed",
+        "symmetry.py",
+        "            for j, row in reversed(tuple(enumerate(self.rows)))",
+        "            for j, row in enumerate(self.rows)",
+        (LATTICES + "test_greedy_generators_are_the_rows_last_first",),
+    ),
+    (
+        "locus_ages residues not taken mod N",
+        "symmetry.py",
+        "                tail = tuple((u + v) % N for u, v in zip(tail, step))",
+        "                tail = tuple(u + v for u, v in zip(tail, step))",
+        (LATTICES + "test_order_membership_and_classes_match_the_oracle",),
+    ),
+    (
+        "_kernel pivot entered as N/pv",
+        "symmetry.py",
+        "kept.append([x * (N // gcd(N, pv)) for x in pivot])",
+        "kept.append([x * (N // pv) for x in pivot])",
+        (LATTICES + "test_greedy_generators_dual_and_sl_match_the_oracle",),
+    ),
+    # the invariance tests both engines read
+    (
+        "character_data on the raw lattice rows",
+        "symmetry.py",
+        "    rows = _hnf(N, ([row[i] for i in reversed(fixed)] for row in G.rows), len(fixed))\n"
+        "    for j, row in enumerate(rows):\n"
+        "        if row[j] == N:\n",
+        "    rows = [[row[i] for i in reversed(fixed)] for row in G.rows]\n"
+        "    for row in rows:\n"
+        "        if not any(x % N for x in row):\n",
+        (
+            SERIES + "test_constraint_reduction_keeps_the_invariant_characters",
+            SERIES + "test_chain_g0_identity_locus_work",
+            BASIS + "test_fermat11_sl_identity_locus_work",
+        ),
+    ),
+    (
+        "character_data in Hermite form from the left",
+        "symmetry.py",
+        "    rows = _hnf(N, ([row[i] for i in reversed(fixed)] for row in G.rows), len(fixed))\n"
+        "    for j, row in enumerate(rows):\n"
+        "        if row[j] == N:\n"
+        "            continue\n"
+        "        scale = gcd(N, *row)\n"
+        "        out.append((N // scale, tuple(x // scale for x in reversed(row))))",
+        "    rows = _hnf(N, ([row[i] for i in fixed] for row in G.rows), len(fixed))\n"
+        "    for j, row in enumerate(rows):\n"
+        "        if row[j] == N:\n"
+        "            continue\n"
+        "        scale = gcd(N, *row)\n"
+        "        out.append((N // scale, tuple(x // scale for x in row)))",
+        (
+            SERIES + "test_constraint_reduction_keeps_the_invariant_characters",
+            SERIES + "test_chain_g0_identity_locus_work",
+        ),
+    ),
+    # the series engine's pass
+    (
+        "series pass without the residue-0 close",
+        "series_engine.py",
+        "                if any(new[k] for k in closing):",
+        "                if False:",
+        (SERIES + "test_pass_equals_walk_on_every_locus", SERIES + "test_pass_equals_walk_on_ladder"),
+    ),
+    (
+        "series pass cut at top",
+        "series_engine.py",
+        "        limit += q  # top - suffix[j+1]",
+        "        limit = top",
+        (SERIES + "test_pass_holds_no_more_than_the_walk",),
+    ),
+    (
+        "series pass with one degree moved",
+        "series_engine.py",
+        "            factor[(0,) * len(touched)] = [(scale, 1)]",
+        "            factor[(0,) * len(touched)] = [(scale + (j == 0), 1)]",
+        ENGINES,
+    ),
+    # the basis engine's count
+    (
+        "chain exclusion that keeps the count",
+        "basis_engine.py",
+        "        if k[j] != a[j] - 1:\n            return False",
+        "        if k[j] != 0:\n            return False",
+        ENGINES,
+    ),
+    (
+        "basis count without the residue-0 close",
+        "basis_engine.py",
+        "                if any(new[r] for r in closing):",
+        "                if False:",
+        (BASIS + "test_counts_equal_filter_on_every_locus", BASIS + "test_counts_equal_filter_on_ladder"),
+    ),
+    (
+        "basis count with one degree moved",
+        "basis_engine.py",
+        "sum(map(mul, c, wa))] += 1",
+        "sum(map(mul, c, wa)) + (k == (0,) * len(k))] += 1",
+        ENGINES,
+    ),
+)
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    """Run `tests` against the package in `src`: (exit code, output)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {TIMEOUT_S} s"
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _failed(output: str) -> list[str]:
+    """The node ids that the short summary reports as failed or in error."""
+    out = []
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                out.append(line[len(tag):])
+    return out
+
+
+def run(name: str, file: str, text: str, replacement: str, tests: tuple[str, ...]) -> str:
+    """'killed', or a line saying why the mutant counts as survived or in error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "orbefun" / file
+        code = path.read_text()
+        if code.count(text) != 1:
+            return f"error: the source text occurs {code.count(text)} times in {file}"
+        path.write_text(code.replace(text, replacement))
+        status, output = _pytest(src, tests)
+    if status == -1:
+        return "killed"  # a mutant that hangs is caught too
+    if status not in (0, 1):
+        return f"error: pytest exited {status}\n{output}"
+    failed = _failed(output)
+    passed = [t for t in tests if not any(f.startswith(t) for f in failed)]
+    return "killed" if not passed else "survived: passes " + ", ".join(passed)
+
+
+def main(argv: list[str]) -> int:
+    rows = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 1
+    tests = tuple(dict.fromkeys(t for m in rows for t in m[4]))
+    status, output = _pytest(ROOT / "src", tests)
+    if status != 0:
+        print(f"the named tests fail on the unmutated tree:\n{output}", file=sys.stderr)
+        return 2
+    killed = 0
+    for row in rows:
+        result = run(*row)
+        killed += result == "killed"
+        print(f"{row[0]}: {result}", flush=True)
+    print(f"{killed} of {len(rows)} mutants killed")
+    return 0 if killed == len(rows) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

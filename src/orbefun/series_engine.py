@@ -32,16 +32,16 @@ least suffix[j+1] = sum_{i>j} q_i to whatever they multiply: cutting the
 partial product at top - suffix[j+1] after coordinate j drops only terms
 that could never return under the bound, and the cut is exact.
 
-The states number at most the product of the moduli of the constraints open
-at once, so the constraints are reduced before the pass.  The tests of
-`symmetry.character_data` are rewritten over one common modulus N and
-eliminated from the last coordinate backwards by unimodular 2x2 row
-operations (extended gcd), which keep the set of invariant characters and
-leave each row a different last coordinate, so rows close as early as the
-group allows.  SL of x1^7 + ... + x5^7, say, has the Hermite-form rows
-(1,0,0,0,6), (0,1,0,0,6), ..., (0,0,0,1,6), all of them open to the last
-coordinate; reduced, they become (0,0,0,1,6), (0,0,1,6,0), ..., each open
-across two coordinates only.
+The states number at most the residues that the open constraints can take
+together, so each constraint should close as early as the group allows.
+`symmetry.character_data` hands them over in Hermite form from the right,
+no two ending at the same coordinate; the pass only rewrites them over one
+common modulus N.  SL of x1^7 + ... + x5^7, say, has the lattice rows
+(1,0,0,0,6), (0,1,0,0,6), ..., (0,0,0,1,6) mod 7, which together reach 7^4
+residues before the last coordinate closes them all; from the right they
+become (6,0,0,0,1), (6,0,0,1,0), (6,0,1,0,0), (6,1,0,0,0), one closing at
+each coordinate after the first, and their residues take at most 7 values
+together.
 
 The projected series depends on g only through its fixed locus I, and the
 prefactor only through its age, so E(f, G) = sum_I A_I(t*tb) * S_I(tb/t):
@@ -60,53 +60,6 @@ from .efunction import BiExpPolynomial
 from .errors import DomainError
 from .invertible import InvertiblePolynomial, weights
 from .symmetry import AbelianSubgroup, character_data, locus_ages
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b for a > 0; (a, 1, 0) when a
-    divides b, so that a pivot dividing a row's entry stays as it is."""
-    s0, t0, s1, t1 = 1, 0, 0, 1  # a = s0*a0 + t0*b0, b = s1*a0 + t1*b0
-    while b % a:
-        k = b // a
-        a, b = b - k * a, a
-        s0, t0, s1, t1 = s1 - k * s0, t1 - k * t0, s0, t0
-    return a, s0, t0
-
-
-def _reduced_constraints(
-    chardata: tuple[tuple[int, tuple[int, ...]], ...], m: int
-) -> tuple[int, list[list[int]]]:
-    """The tests of `chardata` as rows over one modulus N, in echelon form
-    from the right: no two rows share their last nonzero coordinate.
-
-    A row w passes a character tuple c when sum(c_j * w_j) = 0 mod N.
-    """
-    N = lcm(*(den for den, _ in chardata))
-    rows = [[x * (N // den) % N for x in vec] for den, vec in chardata]
-    rows = [r for r in rows if any(r)]
-    reduced = []
-    for j in reversed(range(m)):
-        pivot = None
-        rest = []
-        for r in rows:
-            if not r[j]:
-                rest.append(r)
-            elif pivot is None:
-                pivot = r
-            else:
-                # [[s, t], [-b/g, a/g]] has determinant 1 and clears r[j]
-                a, b = pivot[j], r[j]
-                g, s, t = _xgcd(a, b)
-                pivot, r = (
-                    [(s * x + t * y) % N for x, y in zip(pivot, r)],
-                    [(a // g * y - b // g * x) % N for x, y in zip(pivot, r)],
-                )
-                if any(r):
-                    rest.append(r)
-        if pivot is not None:
-            reduced.append(pivot)
-        rows = rest
-    return N, reduced
 
 
 def _layers(
@@ -168,8 +121,8 @@ def _invariant_sector_series(
 ) -> dict[Fraction, int]:
     """Invariant part of the coordinate-series product, as y-degree -> coeff.
 
-    One pass over the coordinates (`_layers`) under the reduced constraints
-    (`_reduced_constraints`).  Once every constraint has closed, the only
+    One pass over the coordinates (`_layers`) under the tests of `chardata`,
+    rewritten over one modulus.  Once every constraint has closed, the only
     state left is the invariant one, all residues 0; its costs, lowered by
     1/2 per coordinate, are the y-degrees.
     """
@@ -177,7 +130,9 @@ def _invariant_sector_series(
     scale = lcm(2, *(q.denominator for q in qsub))
     qs = [int(q * scale) for q in qsub]
     top = sum(scale - v for v in qs)
-    for layer in _layers(qs, scale, top, *_reduced_constraints(chardata, m)):
+    N = lcm(*(den for den, _ in chardata))
+    rows = [[x * (N // den) for x in vec] for den, vec in chardata]
+    for layer in _layers(qs, scale, top, N, rows):
         pass
     half_total = m * scale // 2
     return {

@@ -41,7 +41,10 @@ a nonzero value, which then enters as the multiple that kills it.
 
 A sector's contribution depends on its element only through the age and the
 fixed locus; `locus_ages` counts these classes in one pass over the
-coordinates of the lattice rows, listing no element.
+coordinates of the lattice rows, listing no element.  The invariance tests
+on a locus are its lattice restricted there, in Hermite form from the right
+(`character_data`): both engines read them, and each test closes as early
+as the group allows.
 
 Printed generators are the greedy lexicographic choice: each one the least
 element, in Fraction-tuple order, outside the subgroup generated by those
@@ -552,22 +555,25 @@ def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], Mapping[Fraction,
 
 
 def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Integerized restriction of the rows of G's lattice to the coordinates
-    `fixed`; the rows N*e_j, the identity, are left out.
-
-    Each row a becomes a pair (D, v) with D the common denominator of the
-    restricted components of a/N and v = D*a/N on them.  A tuple c of
+    """The invariance tests of G on the coordinates `fixed`: a tuple c of
     integers, one per fixed coordinate, is invariant under G as a character
-    exactly when sum(c_j * v_j) = 0 mod D for every row.
+    exactly when it passes every test (D, v), sum(c_j * v_j) = 0 mod D.
+
+    The tests are G's lattice restricted to `fixed`, which contains N*Z^m,
+    in Hermite form over the reversed coordinates (`_hnf`): no two end at
+    the same coordinate, so each closes as early as the group allows, and
+    they come last coordinate first.  The rows N*e_j, which every c passes,
+    are left out; each other row a gives D, the common denominator of a/N,
+    and v = D*a/N, so D > 1 and v is nonzero.
     """
     N = G.N
     out = []
-    for j, row in enumerate(G.rows):
+    rows = _hnf(N, ([row[i] for i in reversed(fixed)] for row in G.rows), len(fixed))
+    for j, row in enumerate(rows):
         if row[j] == N:
             continue
-        nums = [row[i] for i in fixed]
-        scale = gcd(N, *nums)
-        out.append((N // scale, tuple(x // scale for x in nums)))
+        scale = gcd(N, *row)
+        out.append((N // scale, tuple(x // scale for x in reversed(row))))
     return tuple(out)
 
 

@@ -12,16 +12,43 @@ over character tuples, the oracle for its one-pass-per-coordinate
 replacement.  `locus_degree_counts` reads the degrees of each locus's
 invariant monomials off the per-element filter in `sectors`, the oracle for
 the basis engine's per-atom count.
+
+The oracles read `raw_character_data`, the lattice rows restricted to each
+locus as they stand, and not the Hermite-form tests that both engines read
+from `symmetry.character_data`: a fault in that reduction then shows as a
+disagreement with the oracles, not hidden behind the engines' agreement.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from orbefun.basis_engine import SectorContribution, milnor_basis
 from orbefun.efunction import BiExpPolynomial, HodgeTable
 from orbefun.invertible import InvertiblePolynomial, restrict, weights
-from orbefun.symmetry import AbelianSubgroup, character_data, character_invariant, sorted_elements
+from orbefun.symmetry import AbelianSubgroup, character_invariant, sorted_elements
+
+
+def raw_character_data(
+    G: AbelianSubgroup, fixed: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Integerized restriction of the rows of G's lattice to the coordinates
+    `fixed`; the rows N*e_j, the identity, are left out.
+
+    Each row a becomes a pair (D, v) with D the common denominator of the
+    restricted components of a/N and v = D*a/N on them.  A tuple c of
+    integers, one per fixed coordinate, is invariant under G as a character
+    exactly when sum(c_j * v_j) = 0 mod D for every row.
+    """
+    N = G.N
+    out = []
+    for j, row in enumerate(G.rows):
+        if row[j] == N:
+            continue
+        nums = [row[i] for i in fixed]
+        scale = gcd(N, *nums)
+        out.append((N // scale, tuple(x // scale for x in nums)))
+    return tuple(out)
 
 
 def invariant_sector_series(
@@ -88,7 +115,7 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
         fsub = restrict(f, fixed)
         if fsub.n:
             assert weights(fsub).q == tuple(qf[i] for i in fixed)
-        chardata = character_data(G, fixed)
+        chardata = raw_character_data(G, fixed)
         mons = tuple(
             m
             for m in milnor_basis(fsub)
@@ -136,7 +163,7 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
         fixed = g.fixed_indices()
         prefactor = g.age - Fraction(f.n - len(fixed), 2)
         inner = invariant_sector_series(
-            tuple(qf[i] for i in fixed), character_data(G, fixed)
+            tuple(qf[i] for i in fixed), raw_character_data(G, fixed)
         )
         for e, coeff in inner.items():
             key = (prefactor - e, prefactor + e)

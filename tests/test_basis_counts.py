@@ -23,6 +23,7 @@ from test_series_engine import GROUPS, LADDER, _sides
 
 
 def _assert_counts_equal_filter(p, H):
+    # the filter reads the raw lattice rows, the count the Hermite-form tests
     for fixed, expected in ref.locus_degree_counts(p, H).items():
         assert _invariant_counts(restrict(p, fixed), character_data(H, fixed)) == expected
 
@@ -44,9 +45,8 @@ def test_counts_equal_filter_on_ladder(text, spec, dual):
     _assert_counts_equal_filter(*_sides(f, parse_group_spec(f, spec))[dual])
 
 
-@pytest.mark.parametrize("spec", GROUPS)
-@pytest.mark.parametrize("text", LADDER)
-def test_entries_held_at_most_product_of_atom_bases(monkeypatch, text, spec):
+def _held_per_atom(monkeypatch, fsub, chardata):
+    """Entries held by each partial product of the basis count."""
     sizes = []
     real = basis_engine._products
 
@@ -55,19 +55,34 @@ def test_entries_held_at_most_product_of_atom_bases(monkeypatch, text, spec):
             sizes.append(len(held))
             yield held
 
-    monkeypatch.setattr(basis_engine, "_products", recording)
+    with monkeypatch.context() as mp:
+        mp.setattr(basis_engine, "_products", recording)
+        _invariant_counts(fsub, chardata)
+    return sizes
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+@pytest.mark.parametrize("text", LADDER)
+def test_entries_held_at_most_product_of_atom_bases(monkeypatch, text, spec):
     f = parse_polynomial(text)
     for p, H in _sides(f, parse_group_spec(f, spec)):
         for fixed in locus_ages(H):
             fsub = restrict(p, fixed)
-            sizes.clear()
-            _invariant_counts(fsub, character_data(H, fixed))
+            sizes = _held_per_atom(monkeypatch, fsub, character_data(H, fixed))
             bounds = [
                 prod(len(atom_basis(a)) for a in fsub.atoms[:t])
                 for t in range(len(fsub.atoms) + 1)
             ]
             assert len(sizes) == len(bounds)
             assert all(s <= b for s, b in zip(sizes, bounds))
+
+
+def test_fermat11_sl_identity_locus_work(monkeypatch):
+    # SL's raw lattice rows all stay open to the last atom; under them the
+    # count would hold 10,000 entries after the fourth
+    f = parse_polynomial("x1^11 + x2^11 + x3^11 + x4^11 + x5^11")
+    chardata = character_data(parse_group_spec(f, "SL"), tuple(range(5)))
+    assert max(_held_per_atom(monkeypatch, f, chardata)) <= 100
 
 
 def test_fermat11_hodge_table_lists_no_basis(monkeypatch):

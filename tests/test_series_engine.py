@@ -93,15 +93,16 @@ def _sides(f, G):
 
 
 def _locus_inputs(p, H):
-    """(qsub, chardata) of every fixed locus of H, as efunction_series builds them."""
+    """(fixed, qsub) of every fixed locus of H, as efunction_series builds them."""
     q = weights(p).q
-    return [(tuple(q[i] for i in fixed), character_data(H, fixed)) for fixed in locus_ages(H)]
+    return [(fixed, tuple(q[i] for i in fixed)) for fixed in locus_ages(H)]
 
 
 def _assert_pass_equals_walk(p, H):
-    for qsub, chardata in _locus_inputs(p, H):
-        assert series_engine._invariant_sector_series(qsub, chardata) == (
-            ref.invariant_sector_series(qsub, chardata)
+    # the walk reads the raw lattice rows, the pass the Hermite-form tests
+    for fixed, qsub in _locus_inputs(p, H):
+        assert series_engine._invariant_sector_series(qsub, character_data(H, fixed)) == (
+            ref.invariant_sector_series(qsub, ref.raw_character_data(H, fixed))
         )
 
 
@@ -123,30 +124,24 @@ def test_pass_equals_walk_on_ladder(text, spec, dual):
     _assert_pass_equals_walk(*_sides(f, parse_group_spec(f, spec))[dual])
 
 
-@st.composite
-def _random_constraints(draw):
-    """m and up to three tests (D, v) over m coordinates, every D dividing
-    one N <= 12 so that all of (Z/N)^m can be checked."""
-    m = draw(st.integers(1, 3))
-    N = draw(st.integers(1, 12))
-    dens = st.sampled_from([d for d in range(1, N + 1) if N % d == 0])
-    tests = st.lists(
-        dens.flatmap(lambda d: st.tuples(st.just(d), st.tuples(*[st.integers(0, d - 1)] * m))),
-        max_size=3,
-    )
-    return m, N, tuple(draw(tests))
-
-
 @settings(max_examples=100, deadline=None)
-@given(_random_constraints())
-def test_constraint_reduction_keeps_the_invariant_characters(case):
-    m, N, chardata = case
-    modulus, rows = series_engine._reduced_constraints(chardata, m)
-    lasts = [max(j for j, w in enumerate(r) if w) for r in rows]
-    assert len(set(lasts)) == len(lasts)
-    for c in product(range(N), repeat=m):
-        reduced_ok = all(sum(ci * wi for ci, wi in zip(c, r)) % modulus == 0 for r in rows)
-        assert reduced_ok == character_invariant(chardata, c)
+@given(
+    st.one_of(symmetric_pairs(), symmetric_pairs(polys=interleaved_polynomials)),
+    st.booleans(),
+)
+def test_constraint_reduction_keeps_the_invariant_characters(fG, dual):
+    # on each locus the Hermite-form tests pass exactly the characters that
+    # the raw lattice rows pass, checked over all of (Z/N)^|I| where small
+    p, H = _sides(*fG)[dual]
+    for fixed in locus_ages(H):
+        tests = character_data(H, fixed)
+        lasts = [max(j for j, v in enumerate(vec) if v) for _, vec in tests]
+        assert len(set(lasts)) == len(lasts)
+        if H.N ** len(fixed) > 20000:
+            continue
+        raw = ref.raw_character_data(H, fixed)
+        for c in product(range(H.N), repeat=len(fixed)):
+            assert character_invariant(tests, c) == character_invariant(raw, c)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,8 @@ def test_pass_holds_no_more_than_the_walk(monkeypatch, text):
     f = parse_polynomial(text)
     for spec in GROUPS:
         for p, H in _sides(f, parse_group_spec(f, spec)):
-            for qsub, chardata in _locus_inputs(p, H):
-                held = _pass_entries(monkeypatch, qsub, chardata)
+            for fixed, qsub in _locus_inputs(p, H):
+                held = _pass_entries(monkeypatch, qsub, character_data(H, fixed))
                 prefixes, terms = _walk_counts(qsub)
                 assert all(h <= t for h, t in zip(held, terms, strict=True))
                 assert sum(held) <= sum(prefixes)
@@ -226,3 +221,11 @@ def test_fermat7_identity_locus_work(monkeypatch):
         chardata = character_data(parse_group_spec(f, spec), tuple(range(5)))
         held += sum(_pass_entries(monkeypatch, qsub, chardata)[1:])
     assert held <= 1000
+
+
+def test_chain_g0_identity_locus_work(monkeypatch):
+    # the raw lattice row of G0 stays open over all five coordinates; under
+    # it the pass would hold 13,081 entries
+    f = parse_polynomial("x1^7*x2 + x2^7*x3 + x3^7*x4 + x4^7*x5 + x5^7")
+    chardata = character_data(parse_group_spec(f, "G0"), tuple(range(5)))
+    assert sum(_pass_entries(monkeypatch, weights(f).q, chardata)) <= 100
