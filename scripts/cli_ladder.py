@@ -14,7 +14,7 @@ COMMANDS under every group in GROUPS, each in text and JSON; for every
 polynomial and group, `check-duality --engine series` in text, so that the
 series engine's output is checked on its own and not only against the basis
 engine's; `dual` and `check-duality` on two groups given by generator lists;
-two large pairs; the bundled corpus in text and JSON; and a few inputs that
+three large pairs; the bundled corpus in text and JSON; and a few inputs that
 must fail with their exit code.
 """
 
@@ -44,12 +44,14 @@ EXPLICIT = (
     ("x^3*y + y^2 + z^2*w + w^3*z", "1/5(0,0,1,3), 1/5(0,0,4,2)"),
     ("x^2*w + z^3 + w^2*y + y^2*x", "1/3(2,2,0,2) 1/3(1,1,0,1)"),
 )
-# two large pairs: the dual is the transpose's whole group of order 16807;
+# three large pairs: the dual is the transpose's whole group of order 16807;
 # SL's lattice rows all reach the last coordinate, over a Milnor ring of
-# 100,000 monomials
+# 100,000 monomials; the cyclic chain's dual E-function has 14,706 terms to
+# sort and print
 LARGE = (
     ("check-duality", "x1^7 + x2^7 + x3^7 + x4^7 + x5^7", "--group", "trivial"),
     ("hodge", "x1^11 + x2^11 + x3^11 + x4^11 + x5^11", "--group", "SL"),
+    ("check-duality", "x1^7*x2 + x2^7*x3 + x3^7*x4 + x4^7*x5 + x5^7", "--group", "trivial"),
 )
 COMMANDS = ("check-duality", "dual", "pairs", "hodge", "variance", "efunction")
 FORMATS = ("text", "json")

@@ -34,6 +34,7 @@ SERIES = "tests/test_series_engine.py::"
 BASIS = "tests/test_basis_counts.py::"
 LATTICES = "tests/test_lattices.py::"
 SOLVER = "tests/test_solver.py::"
+EFUNCTION = "tests/test_efunction.py::"
 # the engine comparison: one engine against the other, no oracle
 ENGINES = (
     SERIES + "test_matches_basis_engine_on_named_pairs",
@@ -171,6 +172,39 @@ MUTANTS = (
         "sum(map(mul, c, wa))] += 1",
         "sum(map(mul, c, wa)) + (k == (0,) * len(k))] += 1",
         ENGINES,
+    ),
+    (
+        "spectrum identity reading the lowest degree one unit of 1/d up",
+        "basis_engine.py",
+        "        lhs[scaled.numerator] = count",
+        "        lhs[scaled.numerator + (ell == min(degree_counts(f)))] = count",
+        ("tests/test_basis_engine.py::test_spectrum_identity",),
+    ),
+    # the carrier: integer numerators over one canonical denominator
+    (
+        "canonical-denominator reduction skipped",
+        "efunction.py",
+        "    if g > 1:\n"
+        "        nums = {(a // g, b // g): v for (a, b), v in nums.items()}\n"
+        "    return den // g, nums",
+        "    return den, nums",
+        (
+            EFUNCTION + "test_numerators_over_any_denominator_build_the_canonical_polynomial",
+            EFUNCTION + "test_polynomial_arithmetic_equals_the_fraction_oracle",
+            EFUNCTION + "test_round_trip_table_to_efunction",
+            "tests/test_acceptance.py::test_criterion_03_golden_values",
+        ),
+    ),
+    (
+        "integer moment without the n/2 shift",
+        "efunction.py",
+        "(2 * q - shift) ** power",
+        "(2 * q) ** power",
+        (
+            EFUNCTION + "test_exponents_and_variance_example",
+            EFUNCTION + "test_table_conversions_and_moments_equal_the_fraction_oracle",
+            "tests/test_acceptance.py::test_criterion_08_variance",
+        ),
     ),
 )
 

@@ -326,7 +326,7 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     the invariant monomials of each locus are counted, never listed."""
     classes = locus_ages(G)
     # ages and degrees are multiples of 1/D, so the bidegrees are placed as
-    # integer numerators over D and become Fractions once each
+    # integer numerators over D and handed to the table as they are
     D = lcm(G.N, weights(f).d)
     entries: dict[tuple[int, int], list[int]] = {}
     for fixed, fsub in _loci(f, G):
@@ -341,21 +341,21 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
             top = a + ng * D
             for ell, k in degrees:
                 entries.setdefault((top - ell, a + ell), [0, 0])[odd] += count * k
-    return HodgeTable(
-        f.n,
-        {(Fraction(p, D), Fraction(q, D)): (de, do) for (p, q), (de, do) in entries.items()},
-    )
+    return HodgeTable.from_numerators(f.n, D, {pq: tuple(dims) for pq, dims in entries.items()})
 
 
 @lru_cache(maxsize=None)
 def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
     """E-function of (f, G), projected from the Hodge table: each entry
     (p, q) -> (even, odd) becomes the term t^(p - n/2) * tb^(q - n/2) with
-    coefficient even - odd.  Cached too: the corpus battery reads each pair's
-    E-function more than once, and the projection runs on Fractions."""
-    half = Fraction(f.n, 2)
-    entries = hodge_table(f, G).entries
-    return BiExpPolynomial({(p - half, q - half): de - do for (p, q), (de, do) in entries.items()})
+    coefficient even - odd, placed over twice the table's denominator.
+    Cached too: the corpus battery reads each pair's E-function more than
+    once."""
+    T = hodge_table(f, G)
+    shift = f.n * T.den
+    return BiExpPolynomial.from_numerators(2 * T.den, {
+        (2 * p - shift, 2 * q - shift): de - do for (p, q), (de, do) in T.nums.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,10 @@ def _load_pair(args):
     return f, parse_group_spec(f, args.group)
 
 
+# bidegrees named in an engine-mismatch message
+_MISMATCHES_SHOWN = 5
+
+
 def _compute(f, G, engine: str) -> BiExpPolynomial:
     if engine == "basis":
         return efunction_basis(f, G)
@@ -115,9 +119,15 @@ def _compute(f, G, engine: str) -> BiExpPolynomial:
     basis = efunction_basis(f, G)
     series = efunction_series(f, G)
     if basis != series:
+        differ = (basis - series).sorted_terms()
+        shown = "; ".join(
+            f"t^({et})*tb^({etb}): basis {basis.terms.get((et, etb), 0)}, "
+            f"series {series.terms.get((et, etb), 0)}"
+            for (et, etb), _ in differ[:_MISMATCHES_SHOWN]
+        )
         raise VerificationError(
-            f"engine mismatch for ({f.to_text()}, {G}): "
-            f"basis {basis.pretty()} vs series {series.pretty()}"
+            f"engine mismatch for ({f.to_text()}, {G}): {len(differ)} bidegrees differ, "
+            f"first {min(len(differ), _MISMATCHES_SHOWN)}: {shown}"
         )
     return basis
 

@@ -141,7 +141,7 @@ def _run_checks(entry: CorpusEntry) -> EntryResult:
         table = hodge_table(f, G)
     if in_sl or has_g0:
         st["parity"] = _pf(
-            all(de == 0 or do == 0 for de, do in table.entries.values())
+            all(de == 0 or do == 0 for de, do in table.nums.values())
         )
     else:
         st["parity"] = "-"

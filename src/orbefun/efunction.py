@@ -1,12 +1,24 @@
 """Finite two-variable polynomials with rational exponents, and Hodge tables.
 
 The E-function of a pair (f, G) is a finite integer combination of terms
-t^(p - n/2) * tb^(q - n/2); the carrier type BiExpPolynomial is a sparse map
-(t-exponent, tb-exponent) -> integer coefficient.  A HodgeTable records at
-each rational bidegree (p, q) the dimensions of the even and odd parity
-parts.  Under either mode assumption (G inside SL, or G containing the
-grading operator) a fixed bidegree only ever carries one parity, so table
-and signed E-function determine each other; the conversions live here.
+t^(p - n/2) * tb^(q - n/2).  The carrier type BiExpPolynomial stores it as
+one positive denominator `den` and a read-only map `nums` of integer
+numerators, (a, b) -> coefficient for the term t^(a/den) * tb^(b/den).
+`den` is canonical, the least common denominator of the exponents (1 for
+the zero polynomial), so two polynomials are equal exactly when their `den`
+and `nums` are.  A HodgeTable records at each rational bidegree (p, q) the
+dimensions of the even and odd parity parts, stored the same way:
+(p*den, q*den) -> (even, odd).  Under either mode assumption (G inside SL,
+or G containing the grading operator) a fixed bidegree only ever carries one
+parity, so table and signed E-function determine each other; the
+conversions live here.
+
+All arithmetic, comparison, conversion and the signed moments run on the
+integers.  Fractions appear only at the edges: the constructors that take
+Fraction-keyed maps, the parser, the JSON form, the text forms, `exponents`,
+the values `variance` and `exponent_mean` return, and the read-only
+Fraction views `terms` and `entries`, built on first use.  The engines hand
+their integers over through `from_numerators`.
 
 Canonical text form: terms sorted lexicographically by exponent pair,
         -1 * t^(-1/6) * tb^(1/6) + 2 * t^(0) * tb^(0)
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -35,105 +48,161 @@ from .errors import InputSyntaxError, ModeError
 from .invertible import InvertiblePolynomial, _grammar, _Lexer, weights
 
 Term = tuple[Fraction, Fraction]
+Key = tuple[int, int]
 
 
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _canonical(den: int, nums: dict[Key, object]) -> tuple[int, dict[Key, object]]:
+    """`den` and `nums` divided by the gcd of `den` and every numerator, so
+    that `den` is the least common denominator of the exponents."""
+    if den < 1:
+        raise ValueError(f"denominator {den} is not positive")
+    g = den
+    for a, b in nums:
+        g = gcd(g, a, b)
+        if g == 1:
+            return den, nums
+    if g > 1:
+        nums = {(a // g, b // g): v for (a, b), v in nums.items()}
+    return den // g, nums
 
 
-def _int(x) -> int:
-    return x if type(x) is int else int(x)
+def _over_lcd(keys: Mapping[Term, object]) -> tuple[int, dict[Key, object]]:
+    """A Fraction-keyed map as (least common denominator, numerator map)."""
+    fracs = {(Fraction(x), Fraction(y)): v for (x, y), v in keys.items()}
+    den = lcm(*(e.denominator for key in fracs for e in key))
+    return den, {
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)): v
+        for (x, y), v in fracs.items()
+    }
+
+
+def _exponent_text(den: int, nums: Mapping[Key, object]) -> dict[int, str]:
+    """Numerator -> its exponent as text, as str(Fraction(x, den)) writes it,
+    once per distinct value."""
+    out = {}
+    for x in {x for key in nums for x in key}:
+        g = gcd(x, den)
+        out[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return out
 
 
 class BiExpPolynomial:
-    """Sparse polynomial in t, tb with Fraction exponents; `terms` is a
-    read-only map, so a cached E-function cannot be changed by its callers."""
+    """Sparse polynomial in t, tb with rational exponents, stored as integer
+    numerators over one canonical denominator (see the module docstring).
+    `nums` and the Fraction view `terms` are read-only, so a cached
+    E-function cannot be changed by its callers."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums", "_terms")
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
-        self.terms: Mapping[Term, int] = MappingProxyType({
-            (_fraction(et), _fraction(etb)): _int(c)
-            for (et, etb), c in (terms or {}).items()
-            if c
-        })
+        den, nums = _over_lcd({k: int(c) for k, c in (terms or {}).items() if c})
+        self._set(den, nums)
+
+    @classmethod
+    def from_numerators(cls, den: int, nums: Mapping[Key, int]) -> "BiExpPolynomial":
+        """The polynomial sum c * t^(a/den) * tb^(b/den) over nums (a, b) -> c."""
+        P = cls.__new__(cls)
+        P._set(*_canonical(den, {k: c for k, c in nums.items() if c}))
+        return P
+
+    def _set(self, den: int, nums: dict[Key, int]) -> None:
+        self.den = den
+        self.nums: Mapping[Key, int] = MappingProxyType(nums)
+        self._terms: Mapping[Term, int] | None = None
+
+    @property
+    def terms(self) -> Mapping[Term, int]:
+        """(t-exponent, tb-exponent) -> coefficient, exponents as Fractions."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(
+                {(Fraction(a, den), Fraction(b, den)): c for (a, b), c in self.nums.items()}
+            )
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+    def _sorted_nums(self) -> list[tuple[Key, int]]:
+        # antiholomorphic exponent first: matches the usual weight ordering;
+        # over one positive denominator the numerators sort like the exponents
+        return sorted(self.nums.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
     def sorted_terms(self) -> list[tuple[Term, int]]:
-        # antiholomorphic exponent first: matches the usual weight ordering
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        den = self.den
+        return [((Fraction(a, den), Fraction(b, den)), c) for (a, b), c in self._sorted_nums()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiExpPolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "BiExpPolynomial") -> "BiExpPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiExpPolynomial(out)
+        den = lcm(self.den, other.den)
+        m, k = den // self.den, den // other.den
+        out = {(a * m, b * m): c for (a, b), c in self.nums.items()}
+        for (a, b), c in other.nums.items():
+            key = (a * k, b * k)
+            out[key] = out.get(key, 0) + c
+        return BiExpPolynomial.from_numerators(den, out)
 
     def __neg__(self) -> "BiExpPolynomial":
-        return BiExpPolynomial({k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "BiExpPolynomial") -> "BiExpPolynomial":
         return self + (-other)
 
     def scale(self, c: int) -> "BiExpPolynomial":
-        return BiExpPolynomial({k: c * v for k, v in self.terms.items()})
+        return BiExpPolynomial.from_numerators(self.den, {k: c * v for k, v in self.nums.items()})
 
     def invert_t(self) -> "BiExpPolynomial":
         """Substitute t -> t^(-1), i.e. negate every t-exponent."""
-        return BiExpPolynomial({(-et, etb): c for (et, etb), c in self.terms.items()})
+        return BiExpPolynomial.from_numerators(
+            self.den, {(-a, b): c for (a, b), c in self.nums.items()}
+        )
 
     def chi(self) -> int:
         """Value at t = tb = 1."""
-        return sum(self.terms.values())
+        return sum(self.nums.values())
 
     # -- text and JSON forms
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        text = _exponent_text(self.den, self.nums)
         parts = []
-        for i, ((et, etb), c) in enumerate(self.sorted_terms()):
-            body = f"{abs(c)} * t^({et}) * tb^({etb})"
+        for i, ((a, b), c) in enumerate(self._sorted_nums()):
+            body = f"{abs(c)} * t^({text[a]}) * tb^({text[b]})"
             parts.append(_joined(i, c, body))
         return "".join(parts)
 
     def pretty(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        text = _exponent_text(self.den, self.nums)
         parts = []
-        for i, ((et, etb), c) in enumerate(self.sorted_terms()):
+        for i, ((a, b), c) in enumerate(self._sorted_nums()):
             mag = abs(c)
-            if et == 0 and etb == 0:
-                body = str(mag)
-            elif et == etb:
-                body = f"(t*tb)^({et})"
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            elif et == -etb:
-                body = f"(tb/t)^({etb})"
-                if mag != 1:
-                    body = f"{mag}*{body}"
+            if a == 0 and b == 0:
+                parts.append(_joined(i, c, str(mag)))
+                continue
+            if a == b:
+                body = f"(t*tb)^({text[a]})"
+            elif a == -b:
+                body = f"(tb/t)^({text[b]})"
             else:
-                body = f"t^({et})*tb^({etb})"
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            parts.append(_joined(i, c, body))
+                body = f"t^({text[a]})*tb^({text[b]})"
+            parts.append(_joined(i, c, body if mag == 1 else f"{mag}*{body}"))
         return "".join(parts)
 
     def to_json_obj(self) -> list[dict[str, object]]:
+        text = _exponent_text(self.den, self.nums)
         return [
-            {"t": str(et), "tbar": str(etb), "coeff": c}
-            for (et, etb), c in self.sorted_terms()
+            {"t": text[a], "tbar": text[b], "coeff": c} for (a, b), c in self._sorted_nums()
         ]
 
     @classmethod
@@ -269,30 +338,56 @@ def _exponent(lex: _Lexer) -> Fraction:
 
 
 class HodgeTable:
-    """Map (p, q) -> (dim even part, dim odd part) for an n-variable pair;
-    `entries` is read-only."""
+    """Map (p, q) -> (dim even part, dim odd part) for an n-variable pair,
+    stored as integer numerators (p*den, q*den) over one canonical
+    denominator; `nums` and the Fraction view `entries` are read-only."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "den", "nums", "_entries")
 
     def __init__(self, n: int, entries: Mapping[Term, tuple[int, int]]):
+        den, nums = _over_lcd(
+            {k: (int(de), int(do)) for k, (de, do) in entries.items() if de or do}
+        )
+        self._set(n, den, nums)
+
+    @classmethod
+    def from_numerators(
+        cls, n: int, den: int, nums: Mapping[Key, tuple[int, int]]
+    ) -> "HodgeTable":
+        """The table with (p, q) = (a/den, b/den) -> dims over nums (a, b) -> dims."""
+        T = cls.__new__(cls)
+        T._set(n, *_canonical(den, {k: v for k, v in nums.items() if v[0] or v[1]}))
+        return T
+
+    def _set(self, n: int, den: int, nums: dict[Key, tuple[int, int]]) -> None:
         self.n = n
-        self.entries: Mapping[Term, tuple[int, int]] = MappingProxyType({
-            (_fraction(p), _fraction(q)): (_int(de), _int(do))
-            for (p, q), (de, do) in entries.items()
-            if de or do
-        })
+        self.den = den
+        self.nums: Mapping[Key, tuple[int, int]] = MappingProxyType(nums)
+        self._entries: Mapping[Term, tuple[int, int]] | None = None
+
+    @property
+    def entries(self) -> Mapping[Term, tuple[int, int]]:
+        """(p, q) -> (even, odd), bidegrees as Fractions."""
+        if self._entries is None:
+            den = self.den
+            self._entries = MappingProxyType(
+                {(Fraction(p, den), Fraction(q, den)): v for (p, q), v in self.nums.items()}
+            )
+        return self._entries
 
     def sorted_entries(self) -> list[tuple[Term, tuple[int, int]]]:
-        return sorted(self.entries.items())
+        den = self.den
+        rows = sorted(self.nums.items())
+        return [((Fraction(p, den), Fraction(q, den)), v) for (p, q), v in rows]
 
     @property
     def total_dimension(self) -> int:
-        return sum(de + do for de, do in self.entries.values())
+        return sum(de + do for de, do in self.nums.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HodgeTable):
             return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -301,25 +396,34 @@ class HodgeTable:
         return f"HodgeTable(n={self.n}, {{{rows}}})"
 
 
+def _sign(s: int, den: int, p: int, q: int) -> int:
+    """(-1)^(s/den) for the sign exponent s/den at bidegree (p, q) over den;
+    ModeError unless s/den is an integer."""
+    k, r = divmod(s, den)
+    if r:
+        raise ModeError(
+            f"sign exponent {Fraction(s, den)} at bidegree "
+            f"({Fraction(p, den)},{Fraction(q, den)}) is not an integer"
+        )
+    return -1 if k % 2 else 1
+
+
 def e_to_hodge(table: HodgeTable, mode: str) -> BiExpPolynomial:
     """Signed generating function of a Hodge table.
 
     mode 'SL' uses sign (-1)^(p+q), mode 'G0' uses (-1)^(q-p); the relevant
     exponent must be an integer on every populated bidegree, otherwise the
     table does not satisfy the mode assumption and ModeError is raised.
+    The exponents p - n/2, q - n/2 are placed over 2*den.
     """
     if mode not in ("SL", "G0"):
         raise ValueError(f"unknown mode {mode!r}")
-    half = Fraction(table.n, 2)
-    terms: dict[Term, int] = {}
-    for (p, q), (de, do) in table.entries.items():
-        s = p + q if mode == "SL" else q - p
-        if s.denominator != 1:
-            raise ModeError(f"sign exponent {s} at bidegree ({p},{q}) is not an integer")
-        sign = -1 if int(s) % 2 else 1
-        key = (p - half, q - half)
-        terms[key] = terms.get(key, 0) + sign * (de + do)
-    return BiExpPolynomial(terms)
+    den, shift = table.den, table.n * table.den
+    return BiExpPolynomial.from_numerators(2 * den, {
+        (2 * p - shift, 2 * q - shift): _sign(p + q if mode == "SL" else q - p, den, p, q)
+        * (de + do)
+        for (p, q), (de, do) in table.nums.items()
+    })
 
 
 def hodge_from_efunction(P: BiExpPolynomial, n: int) -> HodgeTable:
@@ -327,34 +431,32 @@ def hodge_from_efunction(P: BiExpPolynomial, n: int) -> HodgeTable:
 
     Valid under either mode assumption, where no bidegree mixes parities:
     positive coefficients are even-part dimensions, negative ones odd-part.
+    The bidegrees e + n/2 are placed over 2*den.
     """
-    half = Fraction(n, 2)
-    entries: dict[Term, tuple[int, int]] = {}
-    for (et, etb), c in P.terms.items():
-        pq = (et + half, etb + half)
-        entries[pq] = (c, 0) if c > 0 else (0, -c)
-    return HodgeTable(n, entries)
+    shift = n * P.den
+    return HodgeTable.from_numerators(n, 2 * P.den, {
+        (2 * a + shift, 2 * b + shift): (c, 0) if c > 0 else (0, -c)
+        for (a, b), c in P.nums.items()
+    })
 
 
 def exponents(table: HodgeTable) -> tuple[Fraction, ...]:
     """Multiset of q-degrees, one per unit of h^{p,q}, sorted.  Meaningful for
     pairs whose group contains the grading operator (caller-checked)."""
-    out: list[Fraction] = []
-    for (_p, q), (de, do) in table.entries.items():
+    out: list[int] = []
+    for (_p, q), (de, do) in table.nums.items():
         out.extend([q] * (de + do))
-    return tuple(sorted(out))
+    return tuple(Fraction(q, table.den) for q in sorted(out))
 
 
 def _signed_moment(table: HodgeTable, power: int) -> Fraction:
-    half = Fraction(table.n, 2)
-    total = Fraction(0)
-    for (p, q), (de, do) in table.entries.items():
-        s = q - p
-        if s.denominator != 1:
-            raise ModeError(f"sign exponent {s} at bidegree ({p},{q}) is not an integer")
-        sign = -1 if int(s) % 2 else 1
-        total += sign * (q - half) ** power * (de + do)
-    return total
+    """sum (-1)^(q-p) * (q - n/2)^power * (even + odd), with q - n/2 taken
+    over 2*den so that the sum runs on integers."""
+    den, shift = table.den, table.n * table.den
+    total = 0
+    for (p, q), (de, do) in table.nums.items():
+        total += _sign(q - p, den, p, q) * (2 * q - shift) ** power * (de + do)
+    return Fraction(total, (2 * den) ** power)
 
 
 def exponent_mean(table: HodgeTable) -> Fraction:

@@ -118,46 +118,48 @@ def _layers(
 def _invariant_sector_series(
     qsub: tuple[Fraction, ...],
     chardata: tuple[tuple[int, tuple[int, ...]], ...],
-) -> dict[Fraction, int]:
-    """Invariant part of the coordinate-series product, as y-degree -> coeff.
+) -> tuple[int, dict[int, int]]:
+    """Invariant part of the coordinate-series product, as (scale, y-degree
+    times scale -> coeff).
 
     One pass over the coordinates (`_layers`) under the tests of `chardata`,
     rewritten over one modulus.  Once every constraint has closed, the only
     state left is the invariant one, all residues 0; its costs, lowered by
-    1/2 per coordinate, are the y-degrees.
+    1/2 per coordinate, are the y-degrees in units of 1/scale.
     """
     m = len(qsub)
     scale = lcm(2, *(q.denominator for q in qsub))
-    qs = [int(q * scale) for q in qsub]
+    qs = [q.numerator * (scale // q.denominator) for q in qsub]
     top = sum(scale - v for v in qs)
     N = lcm(*(den for den, _ in chardata))
     rows = [[x * (N // den) for x in vec] for den, vec in chardata]
     for layer in _layers(qs, scale, top, N, rows):
         pass
     half_total = m * scale // 2
-    return {
-        Fraction(e - half_total, scale): c for poly in layer.values() for e, c in poly.items()
-    }
+    return scale, {e - half_total: c for poly in layer.values() for e, c in poly.items()}
 
 
 @lru_cache(maxsize=None)
 def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
-    """E-function of (f, G) from the projected series, one pass per fixed locus."""
+    """E-function of (f, G) from the projected series, one pass per fixed locus.
+
+    Every term is placed over L = 2*lcm(N, d), N the group's exponent and d
+    the weights' common denominator: ages are multiples of 1/N, and each
+    locus's scale divides 2*d.
+    """
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     qf = weights(f).q
-    terms: dict[tuple[Fraction, Fraction], int] = {}
+    L = 2 * lcm(G.N, weights(f).d)
+    terms: dict[tuple[int, int], int] = {}
     for fixed, ages in locus_ages(G).items():
-        inner = _invariant_sector_series(
+        scale, inner = _invariant_sector_series(
             tuple(qf[i] for i in fixed), character_data(G, fixed)
         )
+        degrees = [(e * (L // scale), coeff) for e, coeff in inner.items()]
         for age, count in ages.items():
-            prefactor = age - Fraction(f.n - len(fixed), 2)
-            for e, coeff in inner.items():
+            prefactor = age.numerator * (L // age.denominator) - (f.n - len(fixed)) * L // 2
+            for e, coeff in degrees:
                 key = (prefactor - e, prefactor + e)
-                val = terms.get(key, 0) + count * coeff
-                if val:
-                    terms[key] = val
-                elif key in terms:
-                    del terms[key]
-    return BiExpPolynomial(terms)
+                terms[key] = terms.get(key, 0) + count * coeff
+    return BiExpPolynomial.from_numerators(L, terms)

@@ -13,6 +13,13 @@ replacement.  `locus_degree_counts` reads the degrees of each locus's
 invariant monomials off the per-element filter in `sectors`, the oracle for
 the basis engine's per-atom count.
 
+`add`, `scale`, `invert_t`, `e_to_hodge`, `hodge_from_efunction` and
+`signed_moment` are the carrier arithmetic as it ran on Fraction-keyed maps
+before the E-function and the Hodge table were stored as integer
+numerators over one denominator; they take and return plain Fraction-keyed
+dicts, dropping zero coefficients and empty rows as the old constructors
+did.
+
 The oracles read `raw_character_data`, the lattice rows restricted to each
 locus as they stand, and not the Hermite-form tests that both engines read
 from `symmetry.character_data`: a fault in that reduction then shows as a
@@ -25,6 +32,7 @@ from math import comb, gcd, lcm
 
 from orbefun.basis_engine import SectorContribution, milnor_basis
 from orbefun.efunction import BiExpPolynomial, HodgeTable
+from orbefun.errors import ModeError
 from orbefun.invertible import InvertiblePolynomial, restrict, weights
 from orbefun.symmetry import AbelianSubgroup, character_invariant, sorted_elements
 
@@ -173,3 +181,69 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
             elif key in terms:
                 del terms[key]
     return BiExpPolynomial(terms)
+
+
+# ---------------------------------------------------------------------------
+# the carrier arithmetic on Fraction keys
+
+Term = tuple[Fraction, Fraction]
+
+
+def _nonzero(terms: dict[Term, int]) -> dict[Term, int]:
+    return {k: c for k, c in terms.items() if c}
+
+
+def add(P: dict[Term, int], Q: dict[Term, int]) -> dict[Term, int]:
+    out = dict(P)
+    for k, c in Q.items():
+        out[k] = out.get(k, 0) + c
+    return _nonzero(out)
+
+
+def scale(P: dict[Term, int], c: int) -> dict[Term, int]:
+    return _nonzero({k: c * v for k, v in P.items()})
+
+
+def invert_t(P: dict[Term, int]) -> dict[Term, int]:
+    """Substitute t -> t^(-1), i.e. negate every t-exponent."""
+    return _nonzero({(-et, etb): c for (et, etb), c in P.items()})
+
+
+def e_to_hodge(n: int, entries: dict[Term, tuple[int, int]], mode: str) -> dict[Term, int]:
+    """Signed generating function of a Hodge table ((-1)^(p+q) for 'SL',
+    (-1)^(q-p) for 'G0'); ModeError where that exponent is not an integer."""
+    if mode not in ("SL", "G0"):
+        raise ValueError(f"unknown mode {mode!r}")
+    half = Fraction(n, 2)
+    terms: dict[Term, int] = {}
+    for (p, q), (de, do) in entries.items():
+        s = p + q if mode == "SL" else q - p
+        if s.denominator != 1:
+            raise ModeError(f"sign exponent {s} at bidegree ({p},{q}) is not an integer")
+        sign = -1 if int(s) % 2 else 1
+        key = (p - half, q - half)
+        terms[key] = terms.get(key, 0) + sign * (de + do)
+    return _nonzero(terms)
+
+
+def hodge_from_efunction(P: dict[Term, int], n: int) -> dict[Term, tuple[int, int]]:
+    """Positive coefficients as even-part dimensions, negative as odd-part."""
+    half = Fraction(n, 2)
+    entries: dict[Term, tuple[int, int]] = {}
+    for (et, etb), c in P.items():
+        pq = (et + half, etb + half)
+        entries[pq] = (c, 0) if c > 0 else (0, -c)
+    return {k: v for k, v in entries.items() if v[0] or v[1]}
+
+
+def signed_moment(n: int, entries: dict[Term, tuple[int, int]], power: int) -> Fraction:
+    """sum (-1)^(q-p) * (q - n/2)^power * (even + odd)."""
+    half = Fraction(n, 2)
+    total = Fraction(0)
+    for (p, q), (de, do) in entries.items():
+        s = q - p
+        if s.denominator != 1:
+            raise ModeError(f"sign exponent {s} at bidegree ({p},{q}) is not an integer")
+        sign = -1 if int(s) % 2 else 1
+        total += sign * (q - half) ** power * (de + do)
+    return total

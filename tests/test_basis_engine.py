@@ -229,6 +229,13 @@ def test_cached_values_are_read_only():
         del efunction_series(f, G).terms[(F(0), F(0))]
     with pytest.raises(TypeError):
         hodge_table(f, G).entries[(F(0), F(0))] = (1, 0)
+    # the integer numerators the views are built from are read-only too
+    with pytest.raises(TypeError):
+        E.nums[(0, 0)] = 7
+    with pytest.raises(TypeError):
+        del efunction_series(f, G).nums[next(iter(E.nums))]
+    with pytest.raises(TypeError):
+        hodge_table(f, G).nums[(0, 0)] = (1, 0)
     T = pair_table(f, G)
     with pytest.raises(TypeError):
         T.rows[next(iter(T.rows))] = 5

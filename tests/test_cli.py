@@ -148,6 +148,28 @@ def test_exit_code_3_on_domain(capsys):
     assert code == 3
 
 
+def test_engine_mismatch_names_the_differing_bidegrees(capsys, monkeypatch):
+    import orbefun.cli as cli
+    from orbefun.efunction import BiExpPolynomial
+
+    real = cli.efunction_series
+
+    def one_term_moved(f, G):
+        # the term t^(1/3)*tb^(1/3) moved to t^(1/3)*tb^(4/3)
+        E = real(f, G)
+        moved = {(1, 1): -1, (1, 4): 1}
+        return E + BiExpPolynomial.from_numerators(3, moved)
+
+    monkeypatch.setattr(cli, "efunction_series", one_term_moved)
+    code, out, err = run(capsys, "efunction", "x^3*y + y^2", "--group", "Gf")
+    assert (code, out) == (4, "")
+    assert "2 bidegrees differ, first 2: " in err
+    assert "t^(1/3)*tb^(1/3): basis 1, series 0; t^(1/3)*tb^(4/3): basis 0, series 1" in err
+    code, out, err = run(capsys, "check-duality", "x^3*y + y^2", "--group", "Gf")
+    assert (code, out) == (4, "")
+    assert "t^(1/3)*tb^(1/3): basis 1, series 0" in err
+
+
 def test_exit_code_1_on_usage():
     with pytest.raises(SystemExit) as e:
         main(["efunction"])  # missing polynomial

@@ -1,7 +1,9 @@
 """The two-exponent Laurent carrier, Hodge tables, derived invariants."""
 
 import json
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from orbefun.efunction import (
     parse_efunction,
     variance,
 )
+
+import reference_engines as ref
 
 F = Fraction
 
@@ -45,9 +49,26 @@ def test_int_fraction_and_mixed_input_build_equal_polynomials():
         assert all(type(e) is Fraction for key in P.terms for e in key)
         assert all(type(c) is int for c in P.terms.values())
         assert hash(frozenset(P.terms.items())) == hash(frozenset(fracs.terms.items()))
-    kept = (F(1, 3), F(2, 3))
-    P = BiExpPolynomial({kept: 5})
-    assert all(a is b for a, b in zip(next(iter(P.terms)), kept))
+    P = BiExpPolynomial({(F(1, 3), F(-2, 3)): 5, (F(1, 2), 0): 1, (0, 0): 0})
+    assert P.den == 6  # the least common denominator of the exponents
+    assert P.nums == {(2, -4): 5, (3, 0): 1}
+    assert P.terms == {(F(1, 3), F(-2, 3)): 5, (F(1, 2), F(0)): 1}
+
+
+def test_numerators_over_any_denominator_build_the_canonical_polynomial():
+    over_6 = BiExpPolynomial.from_numerators(6, {(3, -3): 2, (6, 0): -1, (2, 2): 0})
+    over_12 = BiExpPolynomial.from_numerators(12, {(6, -6): 2, (12, 0): -1})
+    over_2 = BiExpPolynomial.from_numerators(2, {(1, -1): 2, (2, 0): -1})
+    for P in (over_6, over_12):
+        assert (P.den, P.nums) == (over_2.den, over_2.nums) == (2, {(1, -1): 2, (2, 0): -1})
+        assert P == over_2 == BiExpPolynomial({(F(1, 2), F(-1, 2)): 2, (1, 0): -1})
+        assert all(type(e) is Fraction for key in P.terms for e in key)
+        assert all(type(c) is int for c in P.terms.values())
+    zero = BiExpPolynomial.from_numerators(10, {(5, 5): 0})
+    assert (zero.den, zero.nums) == (1, {}) and zero == BiExpPolynomial()
+    assert BiExpPolynomial.from_numerators(4, {(0, 0): 3}).den == 1
+    with pytest.raises(TypeError):
+        over_6.nums[(0, 0)] = 1
 
 
 def test_arithmetic():
@@ -120,16 +141,18 @@ def test_hodge_table_drops_empty_rows():
     assert T.total_dimension == 1
 
 
-def test_hodge_table_keeps_the_fractions_it_is_given():
+def test_hodge_table_is_stored_over_the_least_common_denominator():
     ints = HodgeTable(2, {(1, 0): (2, 0), (F(1, 2), 1): (0, 1)})
     fracs = HodgeTable(2, {(F(1), F(0)): (2, 0), (F(1, 2), F(1)): (0, 1)})
-    assert ints == fracs
-    for T in (ints, fracs):
+    over_6 = HodgeTable.from_numerators(2, 6, {(6, 0): (2, 0), (3, 6): (0, 1), (1, 1): (0, 0)})
+    assert ints == fracs == over_6
+    for T in (ints, fracs, over_6):
+        assert (T.den, T.nums) == (2, {(2, 0): (2, 0), (1, 2): (0, 1)})
         assert all(type(e) is Fraction for key in T.entries for e in key)
         assert all(type(d) is int for dims in T.entries.values() for d in dims)
-    kept = (F(1, 3), F(2, 3))
-    T = HodgeTable(1, {kept: (1, 0)})
-    assert all(a is b for a, b in zip(next(iter(T.entries)), kept))
+    T = HodgeTable(1, {(F(1, 3), F(2, 3)): (1, 0), (F(1, 2), F(1, 2)): (0, 2)})
+    assert (T.den, T.nums) == (6, {(2, 4): (1, 0), (3, 3): (0, 2)})
+    assert HodgeTable(1, {}).den == 1
 
 
 def test_e_to_hodge_modes():
@@ -206,3 +229,78 @@ def test_text_and_json_round_trip_everything(terms):
     assert parse_efunction(P.to_text()) == P
     assert parse_efunction(P.pretty()) == P
     assert BiExpPolynomial.from_json_obj(P.to_json_obj()) == P
+
+
+# ---------------------------------------------------------------------------
+# the integer numerators against the Fraction-keyed arithmetic they replaced
+
+_exps = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_polys = st.dictionaries(st.tuples(_exps, _exps), st.integers(-3, 3), max_size=8)
+
+
+@st.composite
+def _tables(draw):
+    """(n, Fraction-keyed rows with empty ones among them), free or with the
+    sign exponent of one mode integral on every row."""
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("free", "SL", "G0")))
+    rows = {}
+    dims = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    for p, k, v in draw(st.lists(st.tuples(_exps, st.integers(-2, 2), dims), max_size=8)):
+        q = draw(_exps) if kind == "free" else (k - p if kind == "SL" else p + k)
+        rows[(p, q)] = v
+    return n, rows
+
+
+def _lcd(keys):
+    return lcm(*(e.denominator for key in keys for e in key))
+
+
+def _assert_canonical(P, want):
+    """P's Fraction view is `want` exactly, over the least common denominator."""
+    view = P.terms if isinstance(P, BiExpPolynomial) else P.entries
+    assert dict(view) == want
+    assert P.den == _lcd(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys, st.integers(-3, 3), st.integers(0, 5))
+def test_polynomial_arithmetic_equals_the_fraction_oracle(p, q, c, n):
+    P, Q = BiExpPolynomial(p), BiExpPolynomial(q)
+    _assert_canonical(P, {k: v for k, v in p.items() if v})
+    _assert_canonical(P + Q, ref.add(p, q))
+    _assert_canonical(P - Q, ref.add(p, ref.scale(q, -1)))
+    _assert_canonical(-P, ref.scale(p, -1))
+    _assert_canonical(P.scale(c), ref.scale(p, c))
+    _assert_canonical(P.invert_t(), ref.invert_t(p))
+    assert P + Q == BiExpPolynomial(ref.add(p, q))
+    assert P.chi() == sum(p.values())
+    assert check_duality(P, Q, n) == (
+        {k: v for k, v in p.items() if v} == ref.scale(ref.invert_t(q), (-1) ** n)
+    )
+    _assert_canonical(hodge_from_efunction(P, n), ref.hodge_from_efunction(p, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_table_conversions_and_moments_equal_the_fraction_oracle(table):
+    n, rows = table
+    T = HodgeTable(n, rows)
+    rows = {k: v for k, v in rows.items() if v != (0, 0)}
+    _assert_canonical(T, rows)
+    for mode in ("SL", "G0"):
+        try:
+            want = ref.e_to_hodge(n, rows, mode)
+        except ModeError as exc:
+            with pytest.raises(ModeError, match=re.escape(str(exc))):
+                e_to_hodge(T, mode)
+        else:
+            _assert_canonical(e_to_hodge(T, mode), want)
+    for power, moment in ((1, exponent_mean), (2, variance)):
+        try:
+            want = ref.signed_moment(n, rows, power)
+        except ModeError as exc:
+            with pytest.raises(ModeError, match=re.escape(str(exc))):
+                moment(T)
+        else:
+            assert moment(T) == want
