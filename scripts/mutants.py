@@ -35,6 +35,11 @@ BASIS = "tests/test_basis_counts.py::"
 LATTICES = "tests/test_lattices.py::"
 SOLVER = "tests/test_solver.py::"
 EFUNCTION = "tests/test_efunction.py::"
+# the psi column: the named small atoms and every atom of the bundled corpus
+PSI = (
+    "tests/test_basis_engine.py::test_psi_structure_on_small_atoms",
+    "tests/test_acceptance.py::test_criterion_06_pairing_map_structure",
+)
 # the engine comparison: one engine against the other, no oracle
 ENGINES = (
     SERIES + "test_matches_basis_engine_on_named_pairs",
@@ -46,7 +51,7 @@ MUTANTS = (
     (
         "solve without its row check",
         "invertible.py",
-        "        if sum(e * x[j] for j, e in enumerate(row) if e) != b[i]:",
+        "        if sum(e * x[j] for j, e in enumerate(row) if e) != det * b[i]:",
         "        if False:",
         (SOLVER + "test_solve_checks_its_answer",),
     ),
@@ -60,8 +65,8 @@ MUTANTS = (
     (
         "loop closed with 1 + d",
         "invertible.py",
-        "acc = Fraction(c, 1 - d)",
-        "acc = Fraction(c, 1 + d)",
+        "acc = c * (det // (1 - d))",
+        "acc = c * (det // (1 + d))",
         (SOLVER + "test_interleaved_examples", SOLVER + "test_solver_matches_leibniz_and_adjugate"),
     ),
     # lattices
@@ -176,9 +181,35 @@ MUTANTS = (
     (
         "spectrum identity reading the lowest degree one unit of 1/d up",
         "basis_engine.py",
-        "        lhs[scaled.numerator] = count",
-        "        lhs[scaled.numerator + (ell == min(degree_counts(f)))] = count",
+        "    lhs = degree_counts(f)\n",
+        "    lhs = {e + (e == min(degree_counts(f))): c for e, c in degree_counts(f).items()}\n",
         ("tests/test_basis_engine.py::test_spectrum_identity",),
+    ),
+    # the psi check's image profiles on the lattice of each atom's dual group
+    (
+        "psi check: chains counted against all elements",
+        "basis_engine.py",
+        "            targets = sum(\n"
+        "                sum(ages.values()) for I, (_, ages) in locus_ages(Gt).items() if len(I) % 2 == 0\n"
+        "            )\n",
+        "            targets = Gt.order\n",
+        PSI + ("tests/test_corpus.py::test_psi_structure_checked_once_per_polynomial",),
+    ),
+    (
+        "psi check: odd loops allowed to hit the identity",
+        "basis_engine.py",
+        "            targets = Gt.order - 1\n"
+        "            sizes = {h: int(not h.is_identity) for h in fibers}\n",
+        "            targets = Gt.order\n"
+        "            sizes = {h: 1 for h in fibers}\n",
+        PSI,
+    ),
+    (
+        "psi check: even loops with an identity fiber of 1",
+        "basis_engine.py",
+        "            sizes = {h: 1 + h.is_identity for h in fibers}\n",
+        "            sizes = {h: 1 for h in fibers}\n",
+        PSI,
     ),
     # the carrier: integer numerators over one canonical denominator
     (

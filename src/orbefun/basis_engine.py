@@ -30,13 +30,14 @@ early as the group allows: with SL, whose lattice rows all reach the last
 coordinate, that locus holds at most 10 entries, where the rows as they
 stand held 10,000 after the fourth atom.
 
-Explicit monomials remain where the map psi needs them (`locus_bases`,
-`sectors`, `pair_table`, `psi_structure_ok`).  The same basis carries a
-combinatorial map into the symmetry group of the transposed polynomial:
-k |-> psi(k), the solution x of E^T * x = k + 1 taken mod 1 (the fractional
-part of (k+1)^T * E^(-1)).  Pairing each invariant monomial in sector g with
-the zero-extension of psi(k) yields the sector pairing table, the structure
-that transposes under (f, G) <-> (transpose, dual group).
+Explicit monomials remain where the pairing table needs them (`locus_bases`,
+`sectors`, `pair_table`).  The same basis carries a combinatorial map into
+the symmetry group of the transposed polynomial: k |-> psi(k), the solution
+x of E^T * x = k + 1 taken mod 1 (the fractional part of (k+1)^T * E^(-1)).
+Pairing each invariant monomial in sector g with the zero-extension of
+psi(k) yields the sector pairing table, the structure that transposes under
+(f, G) <-> (transpose, dual group).  `psi_structure_ok` checks psi per atom
+on the lattice of the atom's transposed group.
 """
 
 from __future__ import annotations
@@ -66,12 +67,11 @@ from .invertible import (
 from .symmetry import (
     AbelianSubgroup,
     GroupElement,
-    character_data,
+    Tests,
     character_invariant,
     dual_group,
     format_element,
     gf_group,
-    identity,
     locus_ages,
     sorted_elements,
 )
@@ -181,17 +181,15 @@ def _products(
         yield held
 
 
-def _invariant_counts(
-    fsub: InvertiblePolynomial, chardata: tuple[tuple[int, tuple[int, ...]], ...]
-) -> dict[Fraction, int]:
-    """Degree l -> number of basis monomials k of fsub whose character k + 1
-    passes every test in `chardata`, counted per atom and convolved.
+def _invariant_counts(fsub: InvertiblePolynomial, chardata: Tests) -> dict[int, int]:
+    """Degree l*d -> number of basis monomials k of fsub whose character
+    k + 1 passes every test in `chardata`, counted per atom and convolved;
+    d is the weights' common denominator.
 
     Raises VerificationError unless the atom bases multiply out to the
     Milnor number of fsub.
     """
-    ws = weights(fsub)
-    w = ws.w
+    w = weights(fsub).w
     tables = [_atom_table(atom, w, chardata) for atom in fsub.atoms]
     mu = prod(sum(t.values()) for t in tables)
     if mu != milnor_number(fsub):
@@ -206,12 +204,13 @@ def _invariant_counts(
     ]
     for held in _products(tables, ends, [den for den, _ in chardata]):
         pass
-    return {Fraction(deg, ws.d): count for (_, deg), count in held.items()}
+    return {deg: count for (_, deg), count in held.items()}
 
 
-def degree_counts(f: InvertiblePolynomial) -> dict[Fraction, int]:
-    """How many basis monomials sit in each degree: the atom tables
-    convolved under no constraint, the count `hodge_table` makes per locus."""
+def degree_counts(f: InvertiblePolynomial) -> dict[int, int]:
+    """How many basis monomials sit in each degree l, keyed by l*d: the atom
+    tables convolved under no constraint, the count `hodge_table` makes per
+    locus."""
     return _invariant_counts(f, ())
 
 
@@ -236,16 +235,11 @@ def spectrum_identity_holds(f: InvertiblePolynomial) -> bool:
     independent certificate for the atom bases and degree sums that
     `hodge_table` counts with; the corpus `mu` column reads it once per
     polynomial.  Exponents are counted in units of 1/d, d the weights'
-    common denominator, so the products run on integers; a degree off that
-    grid fails the check.
+    common denominator, as `degree_counts` keys them, so the products run on
+    integers.
     """
     ws = weights(f)
-    lhs = {}
-    for ell, count in degree_counts(f).items():
-        scaled = ell * ws.d
-        if scaled.denominator != 1:
-            return False
-        lhs[scaled.numerator] = count
+    lhs = degree_counts(f)
     rhs = {0: 1}
     for w in ws.w:
         lhs = _mul1(lhs, {0: 1, w: -1})
@@ -272,9 +266,7 @@ class SectorContribution:
         return len(self.fixed)
 
 
-def _invariant_basis(
-    fsub: InvertiblePolynomial, chardata: tuple[tuple[int, tuple[int, ...]], ...]
-) -> tuple[BasisMonomial, ...]:
+def _invariant_basis(fsub: InvertiblePolynomial, chardata: Tests) -> tuple[BasisMonomial, ...]:
     """The basis monomials k of fsub whose character k + 1 is G-invariant."""
     return tuple(
         m for m in milnor_basis(fsub) if character_invariant(chardata, [e + 1 for e in m.exps])
@@ -283,17 +275,17 @@ def _invariant_basis(
 
 def _loci(
     f: InvertiblePolynomial, G: AbelianSubgroup
-) -> Iterator[tuple[tuple[int, ...], InvertiblePolynomial]]:
+) -> Iterator[tuple[tuple[int, ...], InvertiblePolynomial, Tests, Mapping[int, int]]]:
     """Each fixed locus I of G with f restricted to I, whose weights must be
-    those of f on I."""
+    those of f on I, and the tests and ages of I from `locus_ages`."""
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     qf = weights(f).q
-    for fixed in locus_ages(G):
+    for fixed, (tests, ages) in locus_ages(G).items():
         fsub = restrict(f, fixed)
         if fsub.n and weights(fsub).q != tuple(qf[i] for i in fixed):
             raise VerificationError(f"weights of {fsub.to_text()} are not those of {f.to_text()}")
-        yield fixed, fsub
+        yield fixed, fsub, tests, ages
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +296,7 @@ def locus_bases(
     filtered once per locus (a cached, read-only map).  Only the sector
     pairing table needs the monomials themselves; `hodge_table` counts them."""
     return MappingProxyType({
-        fixed: _invariant_basis(fsub, character_data(G, fixed)) for fixed, fsub in _loci(f, G)
+        fixed: _invariant_basis(fsub, tests) for fixed, fsub, tests, _ in _loci(f, G)
     })
 
 
@@ -324,20 +316,17 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     """Bigraded dimensions split by sector parity (even = n_g even), summed
     over fixed loci and, within each, over ages weighted by their counts;
     the invariant monomials of each locus are counted, never listed."""
-    classes = locus_ages(G)
-    # ages and degrees are multiples of 1/D, so the bidegrees are placed as
-    # integer numerators over D and handed to the table as they are
+    # ages are numerators over N, degrees over the locus's d (a divisor of
+    # f's); the bidegrees are placed over D and handed over as they are
     D = lcm(G.N, weights(f).d)
     entries: dict[tuple[int, int], list[int]] = {}
-    for fixed, fsub in _loci(f, G):
+    for fixed, fsub, tests, ages in _loci(f, G):
         ng = len(fixed)
         odd = ng % 2
-        degrees = [
-            (ell.numerator * (D // ell.denominator), k)
-            for ell, k in _invariant_counts(fsub, character_data(G, fixed)).items()
-        ]
-        for age, count in classes[fixed].items():
-            a = age.numerator * (D // age.denominator)
+        m = D // weights(fsub).d
+        degrees = [(ell * m, k) for ell, k in _invariant_counts(fsub, tests).items()]
+        for age, count in ages.items():
+            a = age * (D // G.N)
             top = a + ng * D
             for ell, k in degrees:
                 entries.setdefault((top - ell, a + ell), [0, 0])[odd] += count * k
@@ -365,7 +354,7 @@ def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynom
 def psi(f: InvertiblePolynomial, exps: tuple[int, ...]) -> GroupElement:
     """The solution x of E^T * x = exps + 1, mod 1; always a diagonal symmetry
     of the transposed polynomial, whose exponent matrix is E^T."""
-    return GroupElement(_solve(transpose(f), [e + 1 for e in exps]))
+    return GroupElement._from_ints(*_solve(transpose(f), [e + 1 for e in exps]))
 
 
 class PairTable:
@@ -441,38 +430,37 @@ def expected_multiplicity(f: InvertiblePolynomial, g: GroupElement, gt: GroupEle
 
 @lru_cache(maxsize=None)
 def psi_structure_ok(f: InvertiblePolynomial) -> bool:
-    """Per-atom sanity of psi on the full basis box.
+    """Per-atom sanity of psi on the full basis box, listing no group element.
 
-    Checks the degree law l(k) = age(psi(k)) + fixed(psi(k))/2 and the image
-    profile: chains inject onto the even-fixed-count elements of the dual
-    atom group, odd loops biject onto the non-identity elements, even loops
-    cover the whole group with exactly the identity fiber doubled.
+    Checks the degree law l(k) = age(psi(k)) + fixed(psi(k))/2 in integers
+    and the image profile on the lattice of the dual atom group G: chains
+    inject onto the elements fixing an even number of coordinates, odd loops
+    biject onto the non-identity elements, even loops cover G with exactly
+    the identity fiber doubled.  Images in G, fiber sizes and as many
+    distinct images as targets together make the images the target set.
     """
     for atom in f.atoms:
         sub = atom_polynomial(atom.kind, atom.a)
-        basis = milnor_basis(sub)
-        images = [psi(sub, m.exps) for m in basis]
-        for m, h in zip(basis, images):
-            if m.ell != h.age + Fraction(h.n_fixed, 2):
+        ws = weights(sub)
+        Gt = gf_group(transpose(sub))
+        fibers: dict[GroupElement, int] = {}
+        for k in atom_basis(atom):
+            h = psi(sub, k)
+            ell = sum(w * (e + 1) for w, e in zip(ws.w, k))
+            if 2 * h.r * ell != ws.d * (2 * sum(h.a) + h.r * h.n_fixed) or h not in Gt:
                 return False
-        fibers = Counter(images)
-        group = gf_group(transpose(sub)).elements
-        ident = identity(sub.n)
+            fibers[h] = fibers.get(h, 0) + 1
         if atom.kind == "chain":
-            if len(fibers) != len(images):
-                return False
-            if set(images) != {h for h in group if h.n_fixed % 2 == 0}:
-                return False
+            targets = sum(
+                sum(ages.values()) for I, (_, ages) in locus_ages(Gt).items() if len(I) % 2 == 0
+            )
+            sizes = {h: int(h.n_fixed % 2 == 0) for h in fibers}
         elif sub.n % 2:
-            if len(fibers) != len(images):
-                return False
-            if set(images) != group - {ident}:
-                return False
+            targets = Gt.order - 1
+            sizes = {h: int(not h.is_identity) for h in fibers}
         else:
-            if fibers[ident] != 2:
-                return False
-            if any(v != 1 for h, v in fibers.items() if h != ident):
-                return False
-            if set(images) != set(group):
-                return False
+            targets = Gt.order
+            sizes = {h: 1 + h.is_identity for h in fibers}
+        if len(fibers) != targets or fibers != sizes:
+            return False
     return True

@@ -17,8 +17,8 @@ All arithmetic, comparison, conversion and the signed moments run on the
 integers.  Fractions appear only at the edges: the constructors that take
 Fraction-keyed maps, the parser, the JSON form, the text forms, `exponents`,
 the values `variance` and `exponent_mean` return, and the read-only
-Fraction views `terms` and `entries`, built on first use.  The engines hand
-their integers over through `from_numerators`.
+Fraction views `terms` and `entries`, built on first use.  The engines build
+theirs through `from_numerators`, from integer weights, ages and degrees.
 
 Canonical text form: terms sorted lexicographically by exponent pair,
         -1 * t^(-1/6) * tb^(1/6) + 2 * t^(0) * tb^(0)
@@ -89,8 +89,8 @@ def _exponent_text(den: int, nums: Mapping[Key, object]) -> dict[int, str]:
 class BiExpPolynomial:
     """Sparse polynomial in t, tb with rational exponents, stored as integer
     numerators over one canonical denominator (see the module docstring).
-    `nums` and the Fraction view `terms` are read-only, so a cached
-    E-function cannot be changed by its callers."""
+    The attributes cannot be set, and `nums` and the Fraction view `terms`
+    are read-only, so a cached E-function cannot be changed by its callers."""
 
     __slots__ = ("den", "nums", "_terms")
 
@@ -106,18 +106,20 @@ class BiExpPolynomial:
         return P
 
     def _set(self, den: int, nums: dict[Key, int]) -> None:
-        self.den = den
-        self.nums: Mapping[Key, int] = MappingProxyType(nums)
-        self._terms: Mapping[Term, int] | None = None
+        for name, value in ("den", den), ("nums", MappingProxyType(nums)), ("_terms", None):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"BiExpPolynomial is immutable; cannot set {name!r}")
 
     @property
     def terms(self) -> Mapping[Term, int]:
         """(t-exponent, tb-exponent) -> coefficient, exponents as Fractions."""
         if self._terms is None:
             den = self.den
-            self._terms = MappingProxyType(
+            object.__setattr__(self, "_terms", MappingProxyType(
                 {(Fraction(a, den), Fraction(b, den)): c for (a, b), c in self.nums.items()}
-            )
+            ))
         return self._terms
 
     @property
@@ -340,7 +342,8 @@ def _exponent(lex: _Lexer) -> Fraction:
 class HodgeTable:
     """Map (p, q) -> (dim even part, dim odd part) for an n-variable pair,
     stored as integer numerators (p*den, q*den) over one canonical
-    denominator; `nums` and the Fraction view `entries` are read-only."""
+    denominator; like BiExpPolynomial, immutable, with `nums` and the
+    Fraction view `entries` read-only."""
 
     __slots__ = ("n", "den", "nums", "_entries")
 
@@ -360,19 +363,21 @@ class HodgeTable:
         return T
 
     def _set(self, n: int, den: int, nums: dict[Key, tuple[int, int]]) -> None:
-        self.n = n
-        self.den = den
-        self.nums: Mapping[Key, tuple[int, int]] = MappingProxyType(nums)
-        self._entries: Mapping[Term, tuple[int, int]] | None = None
+        fields = ("n", n), ("den", den), ("nums", MappingProxyType(nums)), ("_entries", None)
+        for name, value in fields:
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"HodgeTable is immutable; cannot set {name!r}")
 
     @property
     def entries(self) -> Mapping[Term, tuple[int, int]]:
         """(p, q) -> (even, odd), bidegrees as Fractions."""
         if self._entries is None:
             den = self.den
-            self._entries = MappingProxyType(
+            object.__setattr__(self, "_entries", MappingProxyType(
                 {(Fraction(p, den), Fraction(q, den)): v for (p, q), v in self.nums.items()}
-            )
+            ))
         return self._entries
 
     def sorted_entries(self) -> list[tuple[Term, tuple[int, int]]]:

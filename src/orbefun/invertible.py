@@ -20,7 +20,7 @@ and columns, one block per atom.  Hence det E is the product over atoms of
 prod(a) for a chain and prod(a) - (-1)^m for a loop of length m, and every
 linear system E*x = b (weights, columns of E^(-1), and through the transpose
 the map psi) goes through one exact atom-by-atom solver, `_solve`, which
-verifies its answer.
+runs in integers, returns numerators over det E and verifies them.
 
 `parse_polynomial` accepts the grammar (whitespace insignificant):
 
@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -91,14 +91,11 @@ class Atom:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Rational weights q with E*q = (1,...,1)^T; d is the least common denominator."""
+    """Weights q with E*q = (1,...,1)^T: q_i = w_i/d, d the least common denominator."""
 
     q: tuple[Fraction, ...]
     d: int
-
-    @property
-    def w(self) -> tuple[int, ...]:
-        return tuple(int(qi * self.d) for qi in self.q)
+    w: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -369,56 +366,60 @@ def determinant(f: InvertiblePolynomial) -> int:
     return d
 
 
-def _solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """The exact x with E*x = b, solved atom by atom and checked row by row.
+def _solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(det E, the numerators over det E of the exact x with E*x = b),
+    solved atom by atom in integers and checked row by row.
 
-    Chains go back to front (x_m = b_m/a_m, x_i = (b_i - x_(i+1))/a_i); loops
-    write x_i = c_i + d_i*x_1 along the cyclic recurrence
-    x_(i+1) = b_i - a_i*x_i and close it at x_(m+1) = x_1.
-    """
-    x = [Fraction(0)] * f.n
+    Chains go back to front: z_i = x_i*p_i, p_i = a_i*...*a_m, is the integer
+    b_i*p_(i+1) - z_(i+1).  Loops write x_i = c_i + d_i*x_1 along
+    x_(i+1) = b_i - a_i*x_i and close it at x_(m+1) = x_1: 1 - d is +-det of
+    the atom, which divides det E."""
+    det = determinant(f)
+    x = [0] * f.n
     for atom in f.atoms:
         idx, a = atom.var_indices, atom.a
         if atom.kind == "chain":
-            acc = Fraction(0)
+            z, p = 0, 1
             for i, ai in zip(reversed(idx), reversed(a)):
-                acc = (b[i] - acc) / ai
-                x[i] = acc
+                z, p = b[i] * p - z, p * ai
+                x[i] = z * (det // p)
         else:
             c, d = 0, 1
             for i, ai in zip(idx, a):
                 c, d = b[i] - ai * c, -ai * d
-            acc = Fraction(c, 1 - d)
+            acc = c * (det // (1 - d))
             for i, ai in zip(idx, a):
                 x[i] = acc
-                acc = b[i] - ai * acc
+                acc = b[i] * det - ai * acc
     for i, row in enumerate(f.exponents):
-        if sum(e * x[j] for j, e in enumerate(row) if e) != b[i]:
+        if sum(e * x[j] for j, e in enumerate(row) if e) != det * b[i]:
             raise VerificationError(f"solution of E*x = {tuple(b)} fails row {i + 1} of {f.to_text()}")
-    return tuple(x)
+    return det, tuple(x)
 
 
 def exponent_inverse(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^(-1) as row tuples; column j solves E*x = e_j."""
     cols = [_solve(f, [int(i == j) for i in range(f.n)]) for j in range(f.n)]
-    return tuple(zip(*cols))
+    return tuple(zip(*(tuple(Fraction(x, det) for x in col) for det, col in cols)))
 
 
 @lru_cache(maxsize=None)
 def weights(f: InvertiblePolynomial) -> WeightSystem:
     """The unique exact solution of E*q = (1,...,1); every weight lies in (0, 1/2]."""
-    q = _solve(f, (1,) * f.n)
-    if not all(0 < qi <= Fraction(1, 2) for qi in q):
+    det, x = _solve(f, (1,) * f.n)
+    if not all(0 < 2 * xi <= det for xi in x):
         raise VerificationError(f"weights of {f.to_text()} are not all in (0, 1/2]")
-    d = lcm(*(qi.denominator for qi in q)) if q else 1
-    return WeightSystem(q, d)
+    g = gcd(det, *x)
+    return WeightSystem(tuple(Fraction(xi, det) for xi in x), det // g, tuple(xi // g for xi in x))
 
 
 def milnor_number(f: InvertiblePolynomial) -> int:
-    mu = prod((1 / qi - 1 for qi in weights(f).q), start=Fraction(1))
-    if mu.denominator != 1 or mu < 1:
-        raise VerificationError(f"Milnor number {mu} of {f.to_text()} is not a positive integer")
-    return int(mu)
+    """prod(1/q_i - 1) = prod(d - w_i) / prod(w_i)."""
+    ws = weights(f)
+    num, den = prod(ws.d - w for w in ws.w), prod(ws.w)
+    if num % den or num < den:
+        raise VerificationError(f"Milnor number {num}/{den} of {f.to_text()} is not a positive integer")
+    return num // den
 
 
 @lru_cache(maxsize=None)

@@ -34,9 +34,9 @@ that could never return under the bound, and the cut is exact.
 
 The states number at most the residues that the open constraints can take
 together, so each constraint should close as early as the group allows.
-`symmetry.character_data` hands them over in Hermite form from the right,
-no two ending at the same coordinate; the pass only rewrites them over one
-common modulus N.  SL of x1^7 + ... + x5^7, say, has the lattice rows
+`symmetry.locus_ages` hands them over (`character_data`) in Hermite form
+from the right, no two ending at the same coordinate; the pass only
+rewrites them over one common modulus N.  SL of x1^7 + ... + x5^7, say, has the lattice rows
 (1,0,0,0,6), (0,1,0,0,6), ..., (0,0,0,1,6) mod 7, which together reach 7^4
 residues before the last coordinate closes them all; from the right they
 become (6,0,0,0,1), (6,0,0,1,0), (6,0,1,0,0), (6,1,0,0,0), one closing at
@@ -59,7 +59,7 @@ from typing import Iterator
 from .efunction import BiExpPolynomial
 from .errors import DomainError
 from .invertible import InvertiblePolynomial, weights
-from .symmetry import AbelianSubgroup, character_data, locus_ages
+from .symmetry import AbelianSubgroup, Tests, locus_ages
 
 
 def _layers(
@@ -116,8 +116,7 @@ def _layers(
 
 
 def _invariant_sector_series(
-    qsub: tuple[Fraction, ...],
-    chardata: tuple[tuple[int, tuple[int, ...]], ...],
+    qsub: tuple[Fraction, ...], chardata: Tests
 ) -> tuple[int, dict[int, int]]:
     """Invariant part of the coordinate-series product, as (scale, y-degree
     times scale -> coeff).
@@ -144,21 +143,19 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
     """E-function of (f, G) from the projected series, one pass per fixed locus.
 
     Every term is placed over L = 2*lcm(N, d), N the group's exponent and d
-    the weights' common denominator: ages are multiples of 1/N, and each
-    locus's scale divides 2*d.
+    the weights' common denominator: `locus_ages` gives the ages as
+    numerators over N, and each locus's scale divides 2*d.
     """
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
     qf = weights(f).q
     L = 2 * lcm(G.N, weights(f).d)
     terms: dict[tuple[int, int], int] = {}
-    for fixed, ages in locus_ages(G).items():
-        scale, inner = _invariant_sector_series(
-            tuple(qf[i] for i in fixed), character_data(G, fixed)
-        )
+    for fixed, (tests, ages) in locus_ages(G).items():
+        scale, inner = _invariant_sector_series(tuple(qf[i] for i in fixed), tests)
         degrees = [(e * (L // scale), coeff) for e, coeff in inner.items()]
         for age, count in ages.items():
-            prefactor = age.numerator * (L // age.denominator) - (f.n - len(fixed)) * L // 2
+            prefactor = age * (L // G.N) - (f.n - len(fixed)) * L // 2
             for e, coeff in degrees:
                 key = (prefactor - e, prefactor + e)
                 terms[key] = terms.get(key, 0) + count * coeff

@@ -41,17 +41,18 @@ a nonzero value, which then enters as the multiple that kills it.
 
 A sector's contribution depends on its element only through the age and the
 fixed locus; `locus_ages` counts these classes in one pass over the
-coordinates of the lattice rows, listing no element.  The invariance tests
-on a locus are its lattice restricted there, in Hermite form from the right
-(`character_data`): both engines read them, and each test closes as early
-as the group allows.
+coordinates of the lattice rows, listing no element, with ages as
+numerators over N.  The invariance tests on a locus are its lattice
+restricted there, in Hermite form from the right (`character_data`), each
+closing as early as the group allows; both engines read them from
+`locus_ages`, which reduces them once per locus.
 
 Printed generators are the greedy lexicographic choice: each one the least
 element, in Fraction-tuple order, outside the subgroup generated by those
 before it.  Each is a coset minimum, and the Hermite form already holds
 them: they are its rows with pivot below N, last row first.  `elements`
-is enumerated only when read: by `all_subgroups`, the per-atom psi check,
-the sector list and the tests.
+is enumerated only when read: by `all_subgroups`, the sector list and the
+tests.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InputSyntaxError, MembershipError, VerificationError
-from .invertible import InvertiblePolynomial, determinant, exponent_inverse, transpose, weights
+from .invertible import InvertiblePolynomial, _solve, determinant, transpose, weights
 
 
 @total_ordering
@@ -353,11 +354,13 @@ def gf_contains(f: InvertiblePolynomial, g: GroupElement) -> bool:
 @lru_cache(maxsize=None)
 def gf_group(f: InvertiblePolynomial) -> AbelianSubgroup:
     """The maximal diagonal symmetry group of f: the lattice spanned by the
-    columns of N*E^(-1), N the least common denominator of E^(-1)."""
-    inv = exponent_inverse(f)
-    N = lcm(*(x.denominator for row in inv for x in row))
-    cols = [[x.numerator * (N // x.denominator) for x in col] for col in zip(*inv)]
-    G = AbelianSubgroup(f, N, _hnf(N, cols, f.n))
+    columns of N*E^(-1), N the least common denominator of E^(-1): det E
+    over the gcd g of det E and the solver's numerators."""
+    sols = [_solve(f, [int(i == j) for i in range(f.n)]) for j in range(f.n)]
+    det = sols[0][0] if sols else 1
+    g = gcd(det, *(x for _, col in sols for x in col))
+    N = det // g
+    G = AbelianSubgroup(f, N, _hnf(N, ([x // g for x in col] for _, col in sols), f.n))
     if G.order != determinant(f):
         raise VerificationError(f"|G_f| = {G.order} but det E = {determinant(f)} for {f.to_text()}")
     return G
@@ -382,7 +385,7 @@ def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSu
 
 def grading_operator(f: InvertiblePolynomial) -> GroupElement:
     """The exponential grading operator g0 = (q_1, ..., q_n)."""
-    g0 = GroupElement(weights(f).q)
+    g0 = GroupElement._from_ints(weights(f).d, weights(f).w)
     if not gf_contains(f, g0):
         raise VerificationError(f"grading operator {format_element(g0)} is not in G_f")
     return g0
@@ -521,13 +524,17 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
 # sector classes and characters
 
 
+Tests = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 @lru_cache(maxsize=None)
-def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], Mapping[Fraction, int]]:
-    """The sector classes of G: fixed locus I -> {age: number of elements}.
+def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], tuple[Tests, Mapping[int, int]]]:
+    """The sector classes of G: fixed locus I -> (the invariance tests of G
+    on I, {age numerator over N: number of elements}).
 
     Both engines weigh a sector only through its age and its fixed locus, so
-    they sum over these classes, computing once for each locus.  Loci and
-    ages come in increasing order; the cached maps are read-only.
+    they sum over these classes, computing once for each locus under the
+    tests reduced here once.  Loci and ages increase; the maps are read-only.
 
     The classes are counted in one pass over the coordinates, building no
     element: coordinate j of sum c_i * row_i is final once c_0..c_j are
@@ -548,13 +555,15 @@ def locus_ages(G: AbelianSubgroup) -> Mapping[tuple[int, ...], Mapping[Fraction,
         layer = nxt
     if sum(layer.values()) != G.order:
         raise VerificationError(f"the sector classes of {G} count {sum(layer.values())} elements")
-    out: dict[tuple[int, ...], dict[Fraction, int]] = {}
+    out: dict[tuple[int, ...], dict[int, int]] = {}
     for (_, fixed, s), k in sorted(layer.items()):
-        out.setdefault(fixed, {})[Fraction(s, N)] = k
-    return MappingProxyType({fixed: MappingProxyType(ages) for fixed, ages in out.items()})
+        out.setdefault(fixed, {})[s] = k
+    return MappingProxyType({
+        fixed: (character_data(G, fixed), MappingProxyType(ages)) for fixed, ages in out.items()
+    })
 
 
-def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> Tests:
     """The invariance tests of G on the coordinates `fixed`: a tuple c of
     integers, one per fixed coordinate, is invariant under G as a character
     exactly when it passes every test (D, v), sum(c_j * v_j) = 0 mod D.
@@ -577,7 +586,7 @@ def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> tuple[tuple[in
     return tuple(out)
 
 
-def character_invariant(chardata: tuple[tuple[int, tuple[int, ...]], ...], c: Sequence[int]) -> bool:
+def character_invariant(chardata: Tests, c: Sequence[int]) -> bool:
     """Whether the character tuple c passes every test in `chardata`."""
     for den, vec in chardata:
         if sum(ci * vi for ci, vi in zip(c, vec)) % den:

@@ -5,12 +5,18 @@ every generator to every element, a generator reduction that re-runs the
 whole closure after each new generator, and a subgroup-lattice walk that
 closes under pairwise sums.  They are slow but obviously correct, so the
 package's lattice forms are checked against them on small groups.
+
+`solve` is the atom-by-atom solver as it ran in Fraction arithmetic before
+it was rewritten in integer numerators over det E; the integer solver is
+checked against it.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
-from orbefun import transpose
-from orbefun.invertible import exponent_inverse
+from orbefun import VerificationError, transpose
+from orbefun.invertible import InvertiblePolynomial, exponent_inverse
 from orbefun.symmetry import GroupElement, identity, is_in_sl, pairing
 
 
@@ -26,6 +32,35 @@ class Group:
     @property
     def order(self):
         return len(self.elements)
+
+
+def solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """The exact x with E*x = b, solved atom by atom and checked row by row.
+
+    Chains go back to front (x_m = b_m/a_m, x_i = (b_i - x_(i+1))/a_i); loops
+    write x_i = c_i + d_i*x_1 along the cyclic recurrence
+    x_(i+1) = b_i - a_i*x_i and close it at x_(m+1) = x_1.
+    """
+    x = [Fraction(0)] * f.n
+    for atom in f.atoms:
+        idx, a = atom.var_indices, atom.a
+        if atom.kind == "chain":
+            acc = Fraction(0)
+            for i, ai in zip(reversed(idx), reversed(a)):
+                acc = (b[i] - acc) / ai
+                x[i] = acc
+        else:
+            c, d = 0, 1
+            for i, ai in zip(idx, a):
+                c, d = b[i] - ai * c, -ai * d
+            acc = Fraction(c, 1 - d)
+            for i, ai in zip(idx, a):
+                x[i] = acc
+                acc = b[i] - ai * acc
+    for i, row in enumerate(f.exponents):
+        if sum(e * x[j] for j, e in enumerate(row) if e) != b[i]:
+            raise VerificationError(f"solution of E*x = {tuple(b)} fails row {i + 1} of {f.to_text()}")
+    return tuple(x)
 
 
 def closure(n, gens):

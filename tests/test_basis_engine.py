@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from orbefun import (
+    basis_engine,
     efunction_basis,
     efunction_series,
     parse_group_spec,
@@ -25,9 +26,10 @@ from orbefun.basis_engine import (
     sectors,
     spectrum_identity_holds,
 )
-from orbefun.invertible import milnor_number
-from orbefun.symmetry import dual_group, gf_group, identity, parse_element, subgroup
+from orbefun.invertible import milnor_number, weights
+from orbefun.symmetry import AbelianSubgroup, dual_group, gf_group, identity, parse_element, subgroup
 from strategies import polynomials, symmetric_pairs
+from test_series_engine import LADDER
 
 F = Fraction
 
@@ -68,8 +70,9 @@ def test_milnor_basis_chain_3_2():
 def test_degree_multiset_is_palindromic():
     for text in ("x^3*y + y^2", "x^2*y + y^2*z + z^2*x", "x^4 + y^4"):
         f = parse_polynomial(text)
-        counts = degree_counts(f)
-        assert counts == {f.n - ell: c for ell, c in counts.items()}
+        counts = degree_counts(f)  # degrees l keyed by l*d
+        d = weights(f).d
+        assert counts == {f.n * d - e: c for e, c in counts.items()}
 
 
 def test_spectrum_identity():
@@ -136,6 +139,16 @@ def test_psi_lands_in_dual_symmetry_group():
     Gt = gf_group(ft)
     for m in milnor_basis(f):
         assert psi(f, m.exps) in Gt
+
+
+def test_psi_structure_lists_no_group_element_and_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("psi_structure_ok listed a group or a Milnor basis")
+
+    monkeypatch.setattr(AbelianSubgroup, "elements", property(refuse))
+    monkeypatch.setattr(basis_engine, "milnor_basis", refuse)
+    for text in LADDER:
+        assert psi_structure_ok.__wrapped__(parse_polynomial(text))
 
 
 def test_psi_structure_on_small_atoms():
@@ -236,6 +249,13 @@ def test_cached_values_are_read_only():
         del efunction_series(f, G).nums[next(iter(E.nums))]
     with pytest.raises(TypeError):
         hodge_table(f, G).nums[(0, 0)] = (1, 0)
+    # and so are the attributes that hold them
+    with pytest.raises(AttributeError):
+        E.den = 1
+    with pytest.raises(AttributeError):
+        E.nums = {}
+    with pytest.raises(AttributeError):
+        hodge_table(f, G).n = 7
     T = pair_table(f, G)
     with pytest.raises(TypeError):
         T.rows[next(iter(T.rows))] = 5

@@ -77,8 +77,11 @@ def test_order_membership_and_classes_match_the_oracle(polys):
         assert G.elements == R.elements
         for g in gf_group(f).elements:
             assert (g in G) == (g in R.elements)
-        classes = Counter((g.fixed_indices(), g.age) for g in R.elements)
-        assert {(I, age): k for I, ages in locus_ages(G).items() for age, k in ages.items()} == classes
+        # ages as numerators over N, as locus_ages keys them
+        classes = Counter((g.fixed_indices(), g.age * G.N) for g in R.elements)
+        assert {
+            (I, age): k for I, (_, ages) in locus_ages(G).items() for age, k in ages.items()
+        } == classes
 
     check()
 

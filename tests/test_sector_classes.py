@@ -1,5 +1,6 @@
 """Sector sums over fixed loci, and the integer-backed group elements."""
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -13,8 +14,10 @@ from orbefun import (
     dual_group,
     efunction_basis,
     efunction_series,
+    parse_group_spec,
     parse_polynomial,
     series_engine,
+    symmetry,
     transpose,
 )
 from orbefun.basis_engine import hodge_table, sectors
@@ -29,6 +32,7 @@ from orbefun.symmetry import (
 )
 import reference_engines as ref
 from strategies import symmetric_pairs
+from test_series_engine import GROUPS, LADDER, _sides
 
 F = Fraction
 
@@ -53,9 +57,10 @@ def test_engines_match_per_element_reference(fG):
 def test_locus_ages_partition_the_group(fG):
     _, G = fG
     classes = locus_ages(G)
-    assert sum(sum(ages.values()) for ages in classes.values()) == G.order
+    assert sum(sum(ages.values()) for _, ages in classes.values()) == G.order
     for g in G.elements:
-        assert classes[g.fixed_indices()][g.age] >= 1
+        # ages as numerators over N
+        assert classes[g.fixed_indices()][1][g.age * G.N] >= 1
     assert list(classes) == sorted(classes)
 
 
@@ -65,11 +70,15 @@ def test_locus_ages_of_fermat_cubic_dual():
     classes = locus_ages(Gd)
     assert Gd.order == 27
     assert len(classes) == 8
+
+    def over_n(ages):
+        return {age * Gd.N: k for age, k in ages.items()}
+
     # a locus fixing k coordinates holds 2^(3-k) elements, each moved
     # coordinate contributing 1/3 or 2/3 to the age
-    assert classes[(0, 1, 2)] == {F(0): 1}
-    assert classes[(1, 2)] == {F(1, 3): 1, F(2, 3): 1}
-    assert classes[()] == {F(1): 1, F(4, 3): 3, F(5, 3): 3, F(2): 1}
+    assert classes[(0, 1, 2)][1] == over_n({F(0): 1})
+    assert classes[(1, 2)][1] == over_n({F(1, 3): 1, F(2, 3): 1})
+    assert classes[()][1] == over_n({F(1): 1, F(4, 3): 3, F(5, 3): 3, F(2): 1})
 
 
 def test_one_sector_computation_per_fixed_locus(monkeypatch):
@@ -101,6 +110,29 @@ def test_one_sector_computation_per_fixed_locus(monkeypatch):
     basis_engine.efunction_basis.cache_clear()
     assert efunction_series(ft, Gd) == efunction_basis(ft, Gd)
     assert calls == {"series": 8, "basis": 8}
+
+
+@pytest.mark.parametrize("text", LADDER)
+def test_character_data_runs_once_per_group_and_locus(monkeypatch, text):
+    # both engines on both sides of the duality, every group: each locus's
+    # tests are reduced once, whichever module asks for them
+    calls = Counter()
+    real = symmetry.character_data
+
+    def counting(G, fixed):
+        calls[G, fixed] += 1
+        return real(G, fixed)
+
+    for module in (symmetry, basis_engine, series_engine):
+        if hasattr(module, "character_data"):
+            monkeypatch.setattr(module, "character_data", counting)
+    for cached in (locus_ages, hodge_table, efunction_basis, efunction_series):
+        cached.cache_clear()
+    f = parse_polynomial(text)
+    for spec in GROUPS:
+        for p, H in _sides(f, parse_group_spec(f, spec)):
+            assert efunction_basis(p, H) == efunction_series(p, H)
+    assert calls and max(calls.values()) == 1
 
 
 def test_engines_reject_group_of_another_polynomial():

@@ -12,6 +12,7 @@ from orbefun import VerificationError, parse_polynomial, transpose
 from orbefun.basis_engine import milnor_basis, psi
 from orbefun.invertible import _solve, determinant, exponent_inverse, weights
 from orbefun.symmetry import GroupElement, gf_group, pairing, sorted_elements
+import reference_symmetry as ref
 from strategies import interleaved_polynomials, polynomials
 
 F = Fraction
@@ -68,7 +69,7 @@ def test_interleaved_examples():
 
 def test_solve_checks_its_answer():
     f = parse_polynomial(INTERLEAVED[0])
-    assert _solve(f, (1, 2, 3)) == (F(1, 2), F(2, 3), F(5, 4))
+    assert _solve(f, (1, 2, 3)) == (12, (6, 8, 15))  # (1/2, 2/3, 5/4) over det E
     # atoms that disagree with the exponent matrix give an x that fails E*x = b
     chain, fermat = f.atoms
     wrong = type(chain)("chain", chain.var_indices, (2, 3))
@@ -81,6 +82,15 @@ def test_solve_checks_its_answer():
 @given(st.one_of(polynomials(), interleaved_polynomials()))
 def test_solver_matches_leibniz_and_adjugate(f):
     check_solver(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(polynomials(), interleaved_polynomials()), st.data())
+def test_integer_solve_equals_the_fraction_oracle(f, data):
+    b = data.draw(st.lists(st.integers(-50, 50), min_size=f.n, max_size=f.n))
+    det, nums = _solve(f, b)
+    assert det == determinant(f)
+    assert tuple(F(x, det) for x in nums) == ref.solve(f, b)
 
 
 @settings(max_examples=30, deadline=None)
