@@ -35,6 +35,7 @@ BASIS = "tests/test_basis_counts.py::"
 LATTICES = "tests/test_lattices.py::"
 SOLVER = "tests/test_solver.py::"
 EFUNCTION = "tests/test_efunction.py::"
+PARSERS = "tests/test_parsers.py::"
 # the psi column: the named small atoms and every atom of the bundled corpus
 PSI = (
     "tests/test_basis_engine.py::test_psi_structure_on_small_atoms",
@@ -47,6 +48,42 @@ ENGINES = (
 )
 
 MUTANTS = (
+    # the parsers: the shared lexer, the polynomial and the E-function grammar
+    (
+        "lexer without the integer-too-long guard",
+        "invertible.py",
+        "                except ValueError:  # beyond the interpreter's digit limit",
+        "                except ZeroDivisionError:",
+        (PARSERS + "test_integers_beyond_the_digit_limit_are_syntax_errors",),
+    ),
+    (
+        "polynomial parser without the x0 check",
+        "invertible.py",
+        '        if kind == "var" and name[1:2] == "0":',
+        "        if False:",
+        (PARSERS + "test_x0_is_checked_before_parsing", PARSERS + "test_reference_agrees_on_documented_samples"),
+    ),
+    (
+        "polynomial parser stopping at the first monomial",
+        "invertible.py",
+        """    lex.expect("end", "expected '+' between monomials")""",
+        '    lex.accept("end")',
+        ("tests/test_invertible.py::test_parse_syntax_errors_carry_positions",),
+    ),
+    (
+        "E-function parser accepting a leading '+'",
+        "efunction.py",
+        '    if lex.peek()[0] == "+":',
+        "    if False:",
+        (PARSERS + "test_reference_agrees_on_documented_samples",),
+    ),
+    (
+        "E-function exponent without the zero-denominator check",
+        "efunction.py",
+        "        if den == 0:",
+        "        if False:",
+        (PARSERS + "test_zero_denominator_is_a_syntax_error",),
+    ),
     # the exact solver and det E
     (
         "solve without its row check",
@@ -210,6 +247,14 @@ MUTANTS = (
         "            sizes = {h: 1 + h.is_identity for h in fibers}\n",
         "            sizes = {h: 1 for h in fibers}\n",
         PSI,
+    ),
+    # start-up: the top level imports no computation module
+    (
+        "top level importing the basis engine eagerly",
+        "__init__.py",
+        '__version__ = "0.1.0"\n',
+        'from .basis_engine import efunction_basis\n\n__version__ = "0.1.0"\n',
+        ("tests/test_public_api.py::test_each_command_loads_only_the_modules_it_runs",),
     ),
     # the carrier: integer numerators over one canonical denominator
     (

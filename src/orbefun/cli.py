@@ -12,16 +12,6 @@ import json
 import sys
 import warnings
 
-from .basis_engine import efunction_basis, hodge_table, pair_table
-from .corpus import CHECKS, default_corpus, parse_corpus, run_corpus
-from .efunction import (
-    BiExpPolynomial,
-    central_charge,
-    check_duality,
-    exponent_mean,
-    exponents,
-    variance,
-)
 from .errors import (
     CoefficientWarning,
     DomainError,
@@ -29,21 +19,9 @@ from .errors import (
     ModeError,
     VerificationError,
 )
-from .invertible import (
-    determinant,
-    milnor_number,
-    parse_polynomial,
-    transpose,
-    weights,
-)
-from .series_engine import efunction_series
-from .symmetry import (
-    dual_group,
-    format_element,
-    gf_group,
-    grading_operator,
-    parse_group_spec,
-)
+
+# Each command imports the modules it runs, so that `--help`, usage errors
+# and the commands that need no engine start without loading one.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +81,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_pair(args):
+    from .invertible import parse_polynomial
+    from .symmetry import parse_group_spec
+
     f = parse_polynomial(args.poly)
     return f, parse_group_spec(f, args.group)
 
@@ -111,7 +92,10 @@ def _load_pair(args):
 _MISMATCHES_SHOWN = 5
 
 
-def _compute(f, G, engine: str) -> BiExpPolynomial:
+def _compute(f, G, engine: str):
+    from .basis_engine import efunction_basis
+    from .series_engine import efunction_series
+
     if engine == "basis":
         return efunction_basis(f, G)
     if engine == "series":
@@ -133,6 +117,10 @@ def _compute(f, G, engine: str) -> BiExpPolynomial:
 
 
 def cmd_info(args) -> int:
+    from .efunction import central_charge
+    from .invertible import determinant, milnor_number, parse_polynomial, weights
+    from .symmetry import format_element, gf_group, grading_operator
+
     f = parse_polynomial(args.poly)
     ws = weights(f)
     g0 = grading_operator(f)
@@ -191,6 +179,9 @@ def cmd_efunction(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .invertible import transpose
+    from .symmetry import dual_group, format_element
+
     f, G = _load_pair(args)
     ft = transpose(f)
     Gd = dual_group(f, G)
@@ -211,6 +202,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_check_duality(args) -> int:
+    from .efunction import check_duality
+    from .invertible import transpose
+    from .symmetry import dual_group, format_element
+
     f, G = _load_pair(args)
     P = _compute(f, G, args.engine)
     ft = transpose(f)
@@ -240,6 +235,8 @@ def cmd_check_duality(args) -> int:
 
 
 def cmd_hodge(args) -> int:
+    from .basis_engine import hodge_table
+
     f, G = _load_pair(args)
     table = hodge_table(f, G)
     if args.fmt == "json":
@@ -262,6 +259,10 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_variance(args) -> int:
+    from .basis_engine import efunction_basis, hodge_table
+    from .efunction import central_charge, exponent_mean, exponents, variance
+    from .symmetry import format_element, grading_operator
+
     f, G = _load_pair(args)
     g0 = grading_operator(f)
     if g0 not in G:
@@ -302,6 +303,9 @@ def cmd_variance(args) -> int:
 
 
 def cmd_pairs(args) -> int:
+    from .basis_engine import pair_table
+    from .symmetry import format_element
+
     f, G = _load_pair(args)
     table = pair_table(f, G)
     if args.fmt == "json":
@@ -320,6 +324,8 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import CHECKS, default_corpus, parse_corpus, run_corpus
+
     if args.corpus_file is not None:
         try:
             with open(args.corpus_file, "r", encoding="utf-8") as fh:
@@ -327,6 +333,9 @@ def cmd_corpus(args) -> int:
         except OSError as exc:
             print(f"error: cannot read corpus file: {exc}", file=sys.stderr)
             return 1
+        except UnicodeDecodeError as exc:
+            print(f"error: corpus file is not UTF-8 text: {exc}", file=sys.stderr)
+            return 2
         entries = parse_corpus(text)
     else:
         entries = default_corpus()
@@ -367,21 +376,28 @@ def cmd_corpus(args) -> int:
     return 0 if all_ok else 4
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    warnings.simplefilter("always", CoefficientWarning)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except InputSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    # the filter and the one-line format hold while main runs, and no longer
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", CoefficientWarning)
+        warnings.showwarning = _show_warning
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except InputSyntaxError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except VerificationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from time import perf_counter
 
 import pytest
@@ -149,10 +150,10 @@ def test_exit_code_3_on_domain(capsys):
 
 
 def test_engine_mismatch_names_the_differing_bidegrees(capsys, monkeypatch):
-    import orbefun.cli as cli
+    import orbefun.series_engine as series_engine
     from orbefun.efunction import BiExpPolynomial
 
-    real = cli.efunction_series
+    real = series_engine.efunction_series
 
     def one_term_moved(f, G):
         # the term t^(1/3)*tb^(1/3) moved to t^(1/3)*tb^(4/3)
@@ -160,7 +161,7 @@ def test_engine_mismatch_names_the_differing_bidegrees(capsys, monkeypatch):
         moved = {(1, 1): -1, (1, 4): 1}
         return E + BiExpPolynomial.from_numerators(3, moved)
 
-    monkeypatch.setattr(cli, "efunction_series", one_term_moved)
+    monkeypatch.setattr(series_engine, "efunction_series", one_term_moved)
     code, out, err = run(capsys, "efunction", "x^3*y + y^2", "--group", "Gf")
     assert (code, out) == (4, "")
     assert "2 bidegrees differ, first 2: " in err
@@ -201,6 +202,30 @@ def test_corpus_file_missing(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_corpus_file_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.corpus"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "corpus", "--corpus-file", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: corpus file is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+def test_coefficient_warnings_are_one_line_each_and_main_leaves_no_filter(capsys):
+    filters, show = list(warnings.filters), warnings.showwarning
+    code, out, err = run(capsys, "info", "2*x^3")
+    assert code == 0
+    assert "polynomial: x^3" in out
+    assert err == "warning: coefficient 2 on the monomial at position 0 is ignored\n"
+    code, _, err = run(capsys, "dual", "2*x^3 + 3*y^2", "--group", "trivial")
+    assert code == 0
+    assert err == (
+        "warning: coefficient 2 on the monomial at position 0 is ignored\n"
+        "warning: coefficient 3 on the monomial at position 8 is ignored\n"
+    )
+    assert (warnings.filters, warnings.showwarning) == (filters, show)
 
 
 def test_corpus_expectation_mismatch_names_entry(tmp_path, capsys):

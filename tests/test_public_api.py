@@ -2,7 +2,11 @@
 error types, and every other function under one name, in its own module."""
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +80,53 @@ def test_readme_library_sketch_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "from orbefun import" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+# run in a fresh interpreter: the modules each step leaves in sys.modules
+_STARTUP = """
+import contextlib, io, json, sys
+import orbefun
+import orbefun.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("orbefun"))
+
+report = {"dir": dir(orbefun)}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for step, argv in (("help", ["--help"]), ("usage", ["no-such-command"])):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            report[step] = (exc.code, loaded())
+    for step, argv in (("info", ["info", "x^3*y + y^2"]), ("dual", ["dual", "x^3*y + y^2"])):
+        report[step] = (cli.main(argv), loaded())
+names = {}
+exec("from orbefun import *", names)
+report["star"] = sorted(n for n in names if n != "__builtins__")
+report["psi"] = hasattr(orbefun, "psi")
+try:
+    orbefun.no_such_name
+except AttributeError as exc:
+    report["missing"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    src = str(Path(orbefun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    bare = ["orbefun", "orbefun.cli", "orbefun.errors"]
+    assert report["help"] == [0, bare]
+    assert report["usage"] == [1, bare]
+    engines = {"orbefun.basis_engine", "orbefun.series_engine", "orbefun.corpus"}
+    for step in ("info", "dual"):
+        code, modules = report[step]
+        assert code == 0
+        assert not engines & set(modules), step
+    assert report["star"] == sorted(orbefun.__all__)
+    assert set(orbefun.__all__) <= set(report["dir"])
+    assert report["psi"] is False
+    assert report["missing"] == "module 'orbefun' has no attribute 'no_such_name'"
