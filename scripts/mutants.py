@@ -248,13 +248,28 @@ MUTANTS = (
         "            sizes = {h: 1 for h in fibers}\n",
         PSI,
     ),
-    # start-up: the top level imports no computation module
+    # start-up: the top level imports no computation module, and no command dataclasses
     (
         "top level importing the basis engine eagerly",
         "__init__.py",
         '__version__ = "0.1.0"\n',
         'from .basis_engine import efunction_basis\n\n__version__ = "0.1.0"\n',
         ("tests/test_public_api.py::test_each_command_loads_only_the_modules_it_runs",),
+    ),
+    (
+        "value types importing dataclasses again",
+        "invertible.py",
+        "import re\nimport warnings\n",
+        "import re\nimport warnings\nfrom dataclasses import dataclass\n",
+        ("tests/test_public_api.py::test_each_command_loads_only_the_modules_it_runs",),
+    ),
+    # the value types: equality and hashing read every field
+    (
+        "polynomial equality and hashing without the variables",
+        "invertible.py",
+        '    __slots__ = _fields = ("n", "exponents", "variables", "atoms")',
+        '    __slots__ = ("n", "exponents", "variables", "atoms")\n    _fields = ("n", "exponents", "atoms")',
+        ("tests/test_value_types.py::test_values_differ_in_any_field",),
     ),
     # the carrier: integer numerators over one canonical denominator
     (

@@ -43,14 +43,13 @@ on the lattice of the atom's transposed group.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
 from math import lcm, prod
 from operator import mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .efunction import BiExpPolynomial, HodgeTable
 from .errors import DomainError, VerificationError
@@ -58,6 +57,7 @@ from .invertible import (
     Atom,
     InvertiblePolynomial,
     _solve,
+    _Value,
     atom_polynomial,
     milnor_number,
     restrict,
@@ -77,13 +77,20 @@ from .symmetry import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class BasisMonomial:
+@total_ordering
+class BasisMonomial(_Value):
     """Exponent tuple of one Milnor-ring basis monomial and its degree
-    l = sum q_i*(k_i + 1)."""
+    l = sum q_i*(k_i + 1); monomials order by (exps, ell)."""
 
-    exps: tuple[int, ...]
-    ell: Fraction
+    __slots__ = _fields = ("exps", "ell")
+
+    def __init__(self, exps: tuple[int, ...], ell: Fraction):
+        self._set(exps=exps, ell=ell)
+
+    def __lt__(self, other: BasisMonomial) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.exps, self.ell) < (other.exps, other.ell)
 
 
 def _chain_excluded(k: tuple[int, ...], a: tuple[int, ...]) -> bool:
@@ -251,15 +258,17 @@ def spectrum_identity_holds(f: InvertiblePolynomial) -> bool:
 # sectors
 
 
-@dataclass(frozen=True)
-class SectorContribution:
+class SectorContribution(_Value):
     """One group element with its fixed coordinates and the G-invariant
     basis monomials of the restricted polynomial (exponents are indexed by
     the sorted fixed coordinates)."""
 
-    g: GroupElement
-    fixed: tuple[int, ...]
-    monomials: tuple[BasisMonomial, ...]
+    __slots__ = _fields = ("g", "fixed", "monomials")
+
+    def __init__(
+        self, g: GroupElement, fixed: tuple[int, ...], monomials: tuple[BasisMonomial, ...]
+    ):
+        self._set(g=g, fixed=fixed, monomials=monomials)
 
     @property
     def n_fixed(self) -> int:

@@ -8,7 +8,8 @@ error, 3 domain/mode error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import gc
 import sys
 import warnings
 
@@ -80,6 +81,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj))
+
+
 def _load_pair(args):
     from .invertible import parse_polynomial
     from .symmetry import parse_group_spec
@@ -133,23 +140,21 @@ def cmd_info(args) -> int:
         for atom in f.atoms
     ]
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "polynomial": f.to_text(),
-                    "n": f.n,
-                    "variables": list(f.variables),
-                    "exponents": [list(r) for r in f.exponents],
-                    "det": determinant(f),
-                    "atoms": atoms,
-                    "weights": [str(q) for q in ws.q],
-                    "denominator": ws.d,
-                    "milnor_number": milnor_number(f),
-                    "gf_order": gf_group(f).order,
-                    "g0": format_element(g0),
-                    "central_charge": str(central_charge(f)),
-                }
-            )
+        _print_json(
+            {
+                "polynomial": f.to_text(),
+                "n": f.n,
+                "variables": list(f.variables),
+                "exponents": [list(r) for r in f.exponents],
+                "det": determinant(f),
+                "atoms": atoms,
+                "weights": [str(q) for q in ws.q],
+                "denominator": ws.d,
+                "milnor_number": milnor_number(f),
+                "gf_order": gf_group(f).order,
+                "g0": format_element(g0),
+                "central_charge": str(central_charge(f)),
+            }
         )
         return 0
     print(f"polynomial: {f.to_text()}")
@@ -172,7 +177,7 @@ def cmd_efunction(args) -> int:
     f, G = _load_pair(args)
     P = _compute(f, G, args.engine)
     if args.fmt == "json":
-        print(json.dumps(P.to_json_obj()))
+        _print_json(P.to_json_obj())
     else:
         print(P.pretty())
     return 0
@@ -186,14 +191,12 @@ def cmd_dual(args) -> int:
     ft = transpose(f)
     Gd = dual_group(f, G)
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "polynomial": ft.to_text(),
-                    "generators": [format_element(g) for g in Gd.generators],
-                    "order": Gd.order,
-                }
-            )
+        _print_json(
+            {
+                "polynomial": ft.to_text(),
+                "generators": [format_element(g) for g in Gd.generators],
+                "order": Gd.order,
+            }
         )
         return 0
     print(f"dual polynomial: {ft.to_text()}")
@@ -213,17 +216,15 @@ def cmd_check_duality(args) -> int:
     Q = _compute(ft, Gd, args.engine)
     ok = check_duality(P, Q, f.n)
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "pass": ok,
-                    "n": f.n,
-                    "efunction": P.to_json_obj(),
-                    "dual_polynomial": ft.to_text(),
-                    "dual_group": [format_element(g) for g in Gd.generators],
-                    "dual_efunction": Q.to_json_obj(),
-                }
-            )
+        _print_json(
+            {
+                "pass": ok,
+                "n": f.n,
+                "efunction": P.to_json_obj(),
+                "dual_polynomial": ft.to_text(),
+                "dual_group": [format_element(g) for g in Gd.generators],
+                "dual_efunction": Q.to_json_obj(),
+            }
         )
         return 0 if ok else 4
     print(f"E(f,G)   = {P.pretty()}")
@@ -240,16 +241,14 @@ def cmd_hodge(args) -> int:
     f, G = _load_pair(args)
     table = hodge_table(f, G)
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "n": table.n,
-                    "entries": [
-                        {"p": str(p), "q": str(q), "even": de, "odd": do}
-                        for (p, q), (de, do) in table.sorted_entries()
-                    ],
-                }
-            )
+        _print_json(
+            {
+                "n": table.n,
+                "entries": [
+                    {"p": str(p), "q": str(q), "even": de, "odd": do}
+                    for (p, q), (de, do) in table.sorted_entries()
+                ],
+            }
         )
         return 0
     print(f"n: {table.n}")
@@ -278,18 +277,16 @@ def cmd_variance(args) -> int:
     expected = chat * chi / 12
     ok = var == expected and mean == 0
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "exponents": [str(e) for e in exps],
-                    "mean": str(mean),
-                    "variance": str(var),
-                    "chi": chi,
-                    "central_charge": str(chat),
-                    "expected_variance": str(expected),
-                    "corollary": "PASS" if ok else "FAIL",
-                }
-            )
+        _print_json(
+            {
+                "exponents": [str(e) for e in exps],
+                "mean": str(mean),
+                "variance": str(var),
+                "chi": chi,
+                "central_charge": str(chat),
+                "expected_variance": str(expected),
+                "corollary": "PASS" if ok else "FAIL",
+            }
         )
         return 0 if ok else 4
     print(f"exponents: {', '.join(str(e) for e in exps)}")
@@ -309,13 +306,11 @@ def cmd_pairs(args) -> int:
     f, G = _load_pair(args)
     table = pair_table(f, G)
     if args.fmt == "json":
-        print(
-            json.dumps(
-                [
-                    {"g": format_element(g), "g_dual": format_element(h), "m": m}
-                    for (g, h), m in table.sorted_rows()
-                ]
-            )
+        _print_json(
+            [
+                {"g": format_element(g), "g_dual": format_element(h), "m": m}
+                for (g, h), m in table.sorted_rows()
+            ]
         )
         return 0
     for (g, h), m in table.sorted_rows():
@@ -342,7 +337,7 @@ def cmd_corpus(args) -> int:
     if not entries:
         print("warning: corpus is empty (0 entries)", file=sys.stderr)
         if args.fmt == "json":
-            print(json.dumps({"entries": [], "pass": True}))
+            _print_json({"entries": [], "pass": True})
         else:
             print("0 entries")
         return 0
@@ -355,7 +350,7 @@ def cmd_corpus(args) -> int:
             if r.error is not None:
                 row["error"] = r.error
             rows.append(row)
-        print(json.dumps({"entries": rows, "pass": all_ok}))
+        _print_json({"entries": rows, "pass": all_ok})
         return 0 if all_ok else 4
     for r in results:
         if r.error is not None:
@@ -381,6 +376,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
+    # At exit, the interpreter's last collections would walk every object
+    # still alive; freezing them first skips that walk.  Registered once per
+    # process, however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     # the filter and the one-line format hold while main runs, and no longer
     with warnings.catch_warnings():
         warnings.simplefilter("always", CoefficientWarning)

@@ -22,8 +22,7 @@ File format (one entry per line, `#` comments):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .basis_engine import (
     efunction_basis,
@@ -41,7 +40,7 @@ from .efunction import (
     variance,
 )
 from .errors import InputSyntaxError, OrbefunError
-from .invertible import InvertiblePolynomial, determinant, parse_polynomial, transpose
+from .invertible import InvertiblePolynomial, _Value, determinant, parse_polynomial, transpose
 from .series_engine import efunction_series
 from .symmetry import (
     AbelianSubgroup,
@@ -69,12 +68,15 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class CorpusEntry:
-    name: str
-    poly: str
-    group: str
-    expectations: dict | None = None
+class CorpusEntry(_Value):
+    """One line of a corpus file; equal only to itself."""
+
+    __slots__ = _fields = ("name", "poly", "group", "expectations")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, poly: str, group: str, expectations: dict | None = None):
+        self._set(name=name, poly=poly, group=group, expectations=expectations)
 
     def to_line(self) -> str:
         base = f"{self.name} ; {self.poly} ; {self.group}"
@@ -83,14 +85,17 @@ class CorpusEntry:
         return base
 
 
-@dataclass(frozen=True, eq=False)
-class EntryResult:
+class EntryResult(_Value):
     """The status of every check for one entry: PASS, FAIL, "-" (does not
-    apply) or ERROR (the entry itself is invalid; `error` says why)."""
+    apply) or ERROR (the entry itself is invalid; `error` says why); equal
+    only to itself."""
 
-    entry: CorpusEntry
-    statuses: dict[str, str]
-    error: str | None = None
+    __slots__ = _fields = ("entry", "statuses", "error")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, entry: CorpusEntry, statuses: dict[str, str], error: str | None = None):
+        self._set(entry=entry, statuses=statuses, error=error)
 
     @property
     def ok(self) -> bool:

@@ -39,10 +39,10 @@ above, and from nothing else.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import InputSyntaxError, ModeError
 from .invertible import InvertiblePolynomial, _grammar, _Lexer, weights

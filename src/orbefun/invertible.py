@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 from .errors import (
     CoefficientWarning,
@@ -59,8 +59,50 @@ from .errors import (
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its stored attributes in `__slots__` and the ones that
+    make its value in `_fields`, and sets them once through `_set`; setting
+    or deleting an attribute afterwards raises AttributeError.  Instances of
+    one class are equal when their `_fields` are, and the hash of those
+    fields is computed on first use and stored.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...]
+    _values: attrgetter  # an instance's `_fields` as one tuple, read in C
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)
+
+    def _set(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._values(self)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Atom(_Value):
     """One chain or loop; variable `var_indices[i]` carries exponent `a[i]`.
 
     Indices point into the variable tuple of the owning polynomial.  Chains
@@ -68,17 +110,16 @@ class Atom:
     are rotated so the smallest index comes first.
     """
 
-    kind: str
-    var_indices: tuple[int, ...]
-    a: tuple[int, ...]
+    __slots__ = _fields = ("kind", "var_indices", "a")
 
-    def __post_init__(self):
-        if self.kind not in ("chain", "loop"):
-            raise DomainError(f"atom kind must be 'chain' or 'loop', got {self.kind!r}")
-        if len(self.var_indices) != len(self.a):
+    def __init__(self, kind: str, var_indices: tuple[int, ...], a: tuple[int, ...]):
+        if kind not in ("chain", "loop"):
+            raise DomainError(f"atom kind must be 'chain' or 'loop', got {kind!r}")
+        if len(var_indices) != len(a):
             raise DomainError(
-                f"atom has {len(self.var_indices)} variables but {len(self.a)} exponents"
+                f"atom has {len(var_indices)} variables but {len(a)} exponents"
             )
+        self._set(kind=kind, var_indices=var_indices, a=a)
 
     @property
     def size(self) -> int:
@@ -89,24 +130,29 @@ class Atom:
         return self.kind == "chain" and len(self.a) == 1
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(_Value):
     """Weights q with E*q = (1,...,1)^T: q_i = w_i/d, d the least common denominator."""
 
-    q: tuple[Fraction, ...]
-    d: int
-    w: tuple[int, ...]
+    __slots__ = _fields = ("q", "d", "w")
+
+    def __init__(self, q: tuple[Fraction, ...], d: int, w: tuple[int, ...]):
+        self._set(q=q, d=d, w=w)
 
 
-@dataclass(frozen=True)
-class InvertiblePolynomial:
+class InvertiblePolynomial(_Value):
     """Validated invertible polynomial; construct via `parse_polynomial` or
     `from_exponent_matrix`, never directly."""
 
-    n: int
-    exponents: tuple[tuple[int, ...], ...]
-    variables: tuple[str, ...]
-    atoms: tuple[Atom, ...]
+    __slots__ = _fields = ("n", "exponents", "variables", "atoms")
+
+    def __init__(
+        self,
+        n: int,
+        exponents: tuple[tuple[int, ...], ...],
+        variables: tuple[str, ...],
+        atoms: tuple[Atom, ...],
+    ):
+        self._set(n=n, exponents=exponents, variables=variables, atoms=atoms)
 
     def to_text(self) -> str:
         if self.n == 0:

@@ -51,10 +51,10 @@ that locus (A_I, from `symmetry.locus_ages`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator
 
 from .efunction import BiExpPolynomial
 from .errors import DomainError

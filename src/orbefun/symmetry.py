@@ -58,15 +58,14 @@ tests.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InputSyntaxError, MembershipError, VerificationError
-from .invertible import InvertiblePolynomial, _solve, determinant, transpose, weights
+from .invertible import InvertiblePolynomial, _solve, _Value, determinant, transpose, weights
 
 
 @total_ordering
@@ -281,15 +280,16 @@ def _kernel(
     return rows
 
 
-@dataclass(frozen=True)
-class AbelianSubgroup:
+class AbelianSubgroup(_Value):
     """A subgroup G of G_f, carried with its ambient polynomial f as the
     lattice {a in Z^n : a/N in G} in Hermite normal form (`rows`), N the
     exponent of G_f; equality and hashing read the form."""
 
-    ambient: InvertiblePolynomial
-    N: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("ambient", "N", "rows")
+    __slots__ = (*_fields, "_elements")
+
+    def __init__(self, ambient: InvertiblePolynomial, N: int, rows: tuple[tuple[int, ...], ...]):
+        self._set(ambient=ambient, N=N, rows=rows, _elements=None)
 
     @property
     def order(self) -> int:
@@ -311,16 +311,19 @@ class AbelianSubgroup:
             if row[j] != N
         )
 
-    @cached_property
+    @property
     def elements(self) -> frozenset[GroupElement]:
         """Every sum of c_j * row_j / N with 0 <= c_j < N/d_j, each element
-        once."""
-        N = self.N
-        vecs = [(0,) * len(self.rows)]
-        for j, row in enumerate(self.rows):
-            steps = [[c * x % N for x in row] for c in range(N // row[j])]
-            vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
-        return frozenset(GroupElement._from_ints(N, v) for v in vecs)
+        once; listed on first use and kept."""
+        if self._elements is None:
+            N = self.N
+            vecs = [(0,) * len(self.rows)]
+            for j, row in enumerate(self.rows):
+                steps = [[c * x % N for x in row] for c in range(N // row[j])]
+                vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
+            elements = frozenset(GroupElement._from_ints(N, v) for v in vecs)
+            object.__setattr__(self, "_elements", elements)
+        return self._elements
 
     def __contains__(self, g: GroupElement) -> bool:
         if g.n != len(self.rows) or self.N % g.r:

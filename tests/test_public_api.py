@@ -82,14 +82,19 @@ def test_readme_library_sketch_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-# run in a fresh interpreter: the modules each step leaves in sys.modules
+# run in a fresh interpreter: the modules each step leaves in sys.modules;
+# argv[1] is a one-entry corpus file
 _STARTUP = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+before = set(sys.modules)
 import orbefun
 import orbefun.cli as cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("orbefun"))
+
+def new():
+    return sorted(set(sys.modules) - before)
 
 report = {"dir": dir(orbefun)}
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -98,8 +103,16 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
             cli.main(argv)
         except SystemExit as exc:
             report[step] = (exc.code, loaded())
-    for step, argv in (("info", ["info", "x^3*y + y^2"]), ("dual", ["dual", "x^3*y + y^2"])):
+    for step, argv in (
+        ("info", ["info", "x^3*y + y^2"]),
+        ("dual", ["dual", "x^3*y + y^2"]),
+        ("efunction", ["efunction", "x^3*y + y^2", "--group", "G0"]),
+        ("check-duality", ["check-duality", "x^3*y + y^2"]),
+    ):
         report[step] = (cli.main(argv), loaded())
+    report["text"] = new()
+    report["corpus"] = (cli.main(["corpus", "--corpus-file", sys.argv[1]]), loaded())
+report["all"] = new()
 names = {}
 exec("from orbefun import *", names)
 report["star"] = sorted(n for n in names if n != "__builtins__")
@@ -108,14 +121,19 @@ try:
     orbefun.no_such_name
 except AttributeError as exc:
     report["missing"] = str(exc)
+import json
 print(json.dumps(report))
 """
 
 
-def test_each_command_loads_only_the_modules_it_runs():
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("c ; x^3*y + y^2 ; Gf\n", encoding="utf-8")
     src = str(Path(orbefun.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, str(corpus)], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     bare = ["orbefun", "orbefun.cli", "orbefun.errors"]
@@ -126,6 +144,13 @@ def test_each_command_loads_only_the_modules_it_runs():
         code, modules = report[step]
         assert code == 0
         assert not engines & set(modules), step
+    for step in ("efunction", "check-duality", "corpus"):
+        assert report[step][0] == 0, step
+    assert "orbefun.corpus" in report["corpus"][1]
+    # the value types need neither dataclasses nor inspect, and only the
+    # commands that print JSON (the corpus battery reads it) load json
+    assert not {"dataclasses", "inspect"} & set(report["all"])
+    assert "json" not in report["text"]
     assert report["star"] == sorted(orbefun.__all__)
     assert set(orbefun.__all__) <= set(report["dir"])
     assert report["psi"] is False

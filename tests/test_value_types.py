@@ -1,0 +1,147 @@
+"""The value types: immutable, equal and hashed by their fields (the corpus
+records by identity), and BasisMonomial ordered by (exps, ell)."""
+
+import gc
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import orbefun
+from orbefun import DomainError, parse_polynomial, transpose
+from orbefun.basis_engine import BasisMonomial, milnor_basis, sectors
+from orbefun.cli import main
+from orbefun.corpus import CorpusEntry, run_entry
+from orbefun.invertible import Atom, restrict, weights
+from orbefun.symmetry import gf_group, subgroup
+from strategies import polynomials
+
+
+def _equal_values(a, b):
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials())
+def test_equal_values_have_equal_hashes(f):
+    _equal_values(parse_polynomial(f.to_text()), parse_polynomial(f.to_text()))
+    _equal_values(transpose(transpose(f)), f)
+    _equal_values(restrict(f, range(f.n)), f)
+    Gf = gf_group(f)
+    H = subgroup(f, Gf.generators)
+    assert H.elements is H.elements  # listed once, and not part of the value
+    _equal_values(H, Gf)
+
+
+def test_values_differ_in_any_field():
+    assert parse_polynomial("x^3") != parse_polynomial("y^3")
+    assert parse_polynomial("x^3*y + y^2") != parse_polynomial("x^3 + y^2")
+    Gx, Gy = gf_group(parse_polynomial("x^3")), gf_group(parse_polynomial("y^3"))
+    assert (Gx.N, Gx.rows) == (Gy.N, Gy.rows) and Gx != Gy  # one lattice, two ambients
+    f = parse_polynomial("x^2*y + y^3")
+    assert BasisMonomial((1,), Fraction(1, 2)) != BasisMonomial((1,), Fraction(1, 3))
+    atom = f.atoms[0]
+    assert f != atom and atom != (atom.kind, atom.var_indices, atom.a)
+
+
+def test_corpus_records_equal_only_themselves():
+    entry = CorpusEntry("c", "x^3", "Gf")
+    twin = CorpusEntry("c", "x^3", "Gf")
+    assert entry == entry and entry != twin
+    assert len({entry, twin}) == 2
+    assert run_entry(entry) != run_entry(entry)
+
+
+def test_every_value_type_is_immutable():
+    f = parse_polynomial("x^3*y + y^2")
+    G = gf_group(f)
+    entry = CorpusEntry("c", "x^3", "Gf")
+    values = (
+        f.atoms[0],
+        weights(f),
+        f,
+        G,
+        milnor_basis(f)[0],
+        sectors(f, G)[0],
+        entry,
+        run_entry(entry),
+    )
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        "Atom WeightSystem InvertiblePolynomial AbelianSubgroup BasisMonomial "
+        "SectorContribution CorpusEntry EntryResult".split()
+    )
+    for value in values:
+        name = type(value)._fields[0]
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        G._elements = frozenset()
+
+
+def test_basis_monomials_sort_by_exps_then_ell():
+    q = Fraction
+    mons = [
+        BasisMonomial((1, 0), q(1, 2)),
+        BasisMonomial((0, 2), q(5, 6)),
+        BasisMonomial((0, 2), q(1, 6)),
+        BasisMonomial((1,), q(1, 3)),
+        BasisMonomial((0, 0), q(2, 3)),
+    ]
+    assert sorted(mons) == sorted(mons, key=lambda m: (m.exps, m.ell))
+    assert [m.exps for m in sorted(mons)] == [(0, 0), (0, 2), (0, 2), (1,), (1, 0)]
+    assert sorted(mons)[1].ell == q(1, 6)
+    assert max(mons) == mons[0] and mons[2] <= mons[1] < mons[0]
+    basis = milnor_basis(parse_polynomial("x^3*y + y^2*z + z^4"))
+    assert list(basis) == sorted(basis, key=lambda m: (m.exps, m.ell))
+
+
+def test_atom_rejects_a_bad_kind_or_length():
+    with pytest.raises(DomainError, match="kind"):
+        Atom("ring", (0,), (3,))
+    with pytest.raises(DomainError, match="2 variables but 1 exponents"):
+        Atom("chain", (0, 1), (3,))
+    assert Atom("loop", (0, 1), (2, 2)).size == 2
+
+
+# a fresh interpreter counts the exit freezes: its own hook, registered
+# before main's, runs after them
+_EXIT_HOOKS = """
+import atexit, contextlib, gc, io
+real, calls = gc.freeze, []
+
+def freeze():
+    calls.append(1)
+    real()
+
+gc.freeze = freeze
+atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))
+import orbefun.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["info", "x^3"], ["efunction", "x^3"], ["info", "y^3"]):
+        cli.main(argv)
+"""
+
+
+def test_main_leaves_one_exit_hook_however_often_it_runs(capsys):
+    src = str(Path(orbefun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXIT_HOOKS], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 True\n", "")
+    # in process, collection stays as it was until the process itself exits
+    frozen = gc.get_freeze_count()
+    assert main(["info", "x^3"]) == 0
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
