@@ -248,6 +248,18 @@ MUTANTS = (
         "            sizes = {h: 1 for h in fibers}\n",
         PSI,
     ),
+    # the corpus run keeps each polynomial's mu and psi verdicts
+    (
+        "corpus verdicts keyed by the group spec",
+        "corpus.py",
+        "    if f not in verdicts:\n"
+        "        verdicts[f] = _pf(spectrum_identity_holds(f)), _pf(psi_structure_ok(f))\n"
+        '    st["mu"], st["psi"] = verdicts[f]\n',
+        "    if entry.group not in verdicts:\n"
+        "        verdicts[entry.group] = _pf(spectrum_identity_holds(f)), _pf(psi_structure_ok(f))\n"
+        '    st["mu"], st["psi"] = verdicts[entry.group]\n',
+        ("tests/test_corpus.py::test_interleaved_polynomials_are_checked_once_each",),
+    ),
     # start-up: the top level imports no computation module, and no command dataclasses
     (
         "top level importing the basis engine eagerly",
@@ -269,6 +281,13 @@ MUTANTS = (
         "invertible.py",
         '    __slots__ = _fields = ("n", "exponents", "variables", "atoms")',
         '    __slots__ = ("n", "exponents", "variables", "atoms")\n    _fields = ("n", "exponents", "atoms")',
+        ("tests/test_value_types.py::test_values_differ_in_any_field",),
+    ),
+    (
+        "group element equality and hashing without the order",
+        "symmetry.py",
+        '    __slots__ = _fields = ("r", "a")',
+        '    __slots__ = ("r", "a")\n    _fields = ("a",)',
         ("tests/test_value_types.py::test_values_differ_in_any_field",),
     ),
     # the carrier: integer numerators over one canonical denominator

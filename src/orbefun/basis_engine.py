@@ -30,8 +30,8 @@ early as the group allows: with SL, whose lattice rows all reach the last
 coordinate, that locus holds at most 10 entries, where the rows as they
 stand held 10,000 after the fourth atom.
 
-Explicit monomials remain where the pairing table needs them (`locus_bases`,
-`sectors`, `pair_table`).  The same basis carries a combinatorial map into
+Explicit monomials remain where the pairing table needs them (`sectors`,
+`pair_table`).  The same basis carries a combinatorial map into
 the symmetry group of the transposed polynomial: k |-> psi(k), the solution
 x of E^T * x = k + 1 taken mod 1 (the fractional part of (k+1)^T * E^(-1)).
 Pairing each invariant monomial in sector g with the zero-extension of
@@ -234,16 +234,15 @@ def _mul1(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def spectrum_identity_holds(f: InvertiblePolynomial) -> bool:
     """Check sum_basis y^l * prod_i (1 - y^(q_i)) == prod_i (y^(q_i) - y).
 
     This ties the combinatorial basis to the weight system alone and is the
     independent certificate for the atom bases and degree sums that
-    `hodge_table` counts with; the corpus `mu` column reads it once per
-    polynomial.  Exponents are counted in units of 1/d, d the weights'
-    common denominator, as `degree_counts` keys them, so the products run on
-    integers.
+    `hodge_table` counts with; a corpus run computes it once for each
+    polynomial, for the `mu` column.  Exponents are counted in units of 1/d,
+    d the weights' common denominator, as `degree_counts` keys them, so the
+    products run on integers.
     """
     ws = weights(f)
     lhs = degree_counts(f)
@@ -298,21 +297,11 @@ def _loci(
 
 
 @lru_cache(maxsize=None)
-def locus_bases(
-    f: InvertiblePolynomial, G: AbelianSubgroup
-) -> Mapping[tuple[int, ...], tuple[BasisMonomial, ...]]:
-    """Fixed locus I of G -> G-invariant basis monomials of f restricted to I,
-    filtered once per locus (a cached, read-only map).  Only the sector
-    pairing table needs the monomials themselves; `hodge_table` counts them."""
-    return MappingProxyType({
-        fixed: _invariant_basis(fsub, tests) for fixed, fsub, tests, _ in _loci(f, G)
-    })
-
-
-@lru_cache(maxsize=None)
 def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribution, ...]:
-    """Every element of G, in sorted order, with its invariant monomials."""
-    bases = locus_bases(f, G)
+    """Every element of G, in sorted order, with its invariant monomials,
+    filtered once per fixed locus.  Only the sector pairing table needs the
+    monomials themselves; `hodge_table` counts them."""
+    bases = {fixed: _invariant_basis(fsub, tests) for fixed, fsub, tests, _ in _loci(f, G)}
     out = []
     for g in sorted_elements(G):
         fixed = g.fixed_indices()
@@ -366,14 +355,15 @@ def psi(f: InvertiblePolynomial, exps: tuple[int, ...]) -> GroupElement:
     return GroupElement._from_ints(*_solve(transpose(f), [e + 1 for e in exps]))
 
 
-class PairTable:
+class PairTable(_Value):
     """Multiset of (sector element, transpose-side element) pairs counted
     over the invariant basis monomials of every sector; `rows` is read-only."""
 
-    __slots__ = ("rows",)
+    __slots__ = _fields = ("rows",)
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, rows: Mapping[tuple[GroupElement, GroupElement], int]):
-        self.rows = MappingProxyType({k: int(v) for k, v in rows.items() if v})
+        self._set(rows=MappingProxyType({k: int(v) for k, v in rows.items() if v}))
 
     def transposed(self) -> "PairTable":
         return PairTable({(b, a): v for (a, b), v in self.rows.items()})
@@ -384,13 +374,6 @@ class PairTable:
     @property
     def total(self) -> int:
         return sum(self.rows.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairTable):
-            return NotImplemented
-        return self.rows == other.rows
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a}, {b}): {v}" for (a, b), v in self.sorted_rows())
@@ -437,7 +420,6 @@ def expected_multiplicity(f: InvertiblePolynomial, g: GroupElement, gt: GroupEle
     return 2 ** r
 
 
-@lru_cache(maxsize=None)
 def psi_structure_ok(f: InvertiblePolynomial) -> bool:
     """Per-atom sanity of psi on the full basis box, listing no group element.
 

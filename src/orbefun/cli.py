@@ -375,12 +375,18 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+# whether main has registered the exit freeze in this process
+_freeze_registered = False
+
+
 def main(argv=None) -> int:
     # At exit, the interpreter's last collections would walk every object
     # still alive; freezing them first skips that walk.  Registered once per
     # process, however often main runs.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    global _freeze_registered
+    if not _freeze_registered:
+        atexit.register(gc.freeze)
+        _freeze_registered = True
     # the filter and the one-line format hold while main runs, and no longer
     with warnings.catch_warnings():
         warnings.simplefilter("always", CoefficientWarning)

@@ -106,16 +106,22 @@ def _pf(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def run_entry(entry: CorpusEntry) -> EntryResult:
+# a run's `mu` and `psi` columns of each polynomial, which depend on it alone
+_Verdicts = dict[InvertiblePolynomial, tuple[str, str]]
+
+
+def run_entry(entry: CorpusEntry, verdicts: _Verdicts | None = None) -> EntryResult:
     """Run the battery on one entry; an entry that raises an OrbefunError
-    gets ERROR in every column, so the rest of the corpus still runs."""
+    gets ERROR in every column, so the rest of the corpus still runs.
+    `run_corpus` passes one `verdicts` to all entries of a run, so those
+    columns are computed once per polynomial; a lone call starts afresh."""
     try:
-        return _run_checks(entry)
+        return _run_checks(entry, {} if verdicts is None else verdicts)
     except OrbefunError as exc:
         return EntryResult(entry, dict.fromkeys(CHECKS, "ERROR"), str(exc))
 
 
-def _run_checks(entry: CorpusEntry) -> EntryResult:
+def _run_checks(entry: CorpusEntry, verdicts: _Verdicts) -> EntryResult:
     f = parse_polynomial(entry.poly)
     G = parse_group_spec(f, entry.group)
     exp = _read_expectations(entry.expectations)
@@ -135,8 +141,9 @@ def _run_checks(entry: CorpusEntry) -> EntryResult:
     st["orders"] = _pf(G.order * Gd.order == determinant(f))
     # degree_counts raises unless the atom bases multiply out to mu; the
     # spectrum identity checks their degrees against the weights
-    st["mu"] = _pf(spectrum_identity_holds(f))
-    st["psi"] = _pf(psi_structure_ok(f))
+    if f not in verdicts:
+        verdicts[f] = _pf(spectrum_identity_holds(f)), _pf(psi_structure_ok(f))
+    st["mu"], st["psi"] = verdicts[f]
 
     g0 = grading_operator(f)
     in_sl = all(is_in_sl(g) for g in G.generators)
@@ -191,7 +198,8 @@ def _read_expectations(exp: object) -> dict[str, object]:
 
 
 def run_corpus(entries: Iterable[CorpusEntry]) -> list[EntryResult]:
-    return [run_entry(e) for e in entries]
+    verdicts: _Verdicts = {}
+    return [run_entry(e, verdicts) for e in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +251,28 @@ _GOLDEN = {
 }
 
 
-def _spec_name(f: InvertiblePolynomial, H: AbelianSubgroup) -> tuple[str, str]:
-    """(short name, group spec text) for a subgroup, preferring the tokens."""
+def _spec_name(
+    H: AbelianSubgroup, named: tuple[tuple[str, AbelianSubgroup], ...]
+) -> tuple[str, str]:
+    """(short name, group spec text) for a subgroup, preferring the tokens
+    in the order of `named`."""
     if H.order == 1:
         return "trivial", "trivial"
-    if H == grading_subgroup(f):
-        return "G0", "G0"
-    if H == sl_subgroup(f):
-        return "SL", "SL"
-    if H == gf_group(f):
-        return "Gf", "Gf"
+    for name, K in named:
+        if H == K:
+            return name, name
     text = ", ".join(format_element(g) for g in H.generators)
     return "", text
 
 
 def _all_subgroup_entries(label: str, poly_text: str) -> list[CorpusEntry]:
     f = parse_polynomial(poly_text)
+    Gf = gf_group(f)
+    named = (("G0", grading_subgroup(f)), ("SL", sl_subgroup(f)), ("Gf", Gf))
     out = []
     counter = 0
-    for H in all_subgroups(gf_group(f)):
-        name, spec = _spec_name(f, H)
+    for H in all_subgroups(Gf):
+        name, spec = _spec_name(H, named)
         if not name:
             counter += 1
             name = f"s{counter:02d}"

@@ -45,7 +45,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import InputSyntaxError, ModeError
-from .invertible import InvertiblePolynomial, _grammar, _Lexer, weights
+from .invertible import InvertiblePolynomial, _grammar, _Lexer, _Value, weights
 
 Term = tuple[Fraction, Fraction]
 Key = tuple[int, int]
@@ -86,13 +86,15 @@ def _exponent_text(den: int, nums: Mapping[Key, object]) -> dict[int, str]:
     return out
 
 
-class BiExpPolynomial:
+class BiExpPolynomial(_Value):
     """Sparse polynomial in t, tb with rational exponents, stored as integer
     numerators over one canonical denominator (see the module docstring).
     The attributes cannot be set, and `nums` and the Fraction view `terms`
     are read-only, so a cached E-function cannot be changed by its callers."""
 
-    __slots__ = ("den", "nums", "_terms")
+    _fields = ("den", "nums")
+    __slots__ = (*_fields, "_terms")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
         den, nums = _over_lcd({k: int(c) for k, c in (terms or {}).items() if c})
@@ -106,11 +108,7 @@ class BiExpPolynomial:
         return P
 
     def _set(self, den: int, nums: dict[Key, int]) -> None:
-        for name, value in ("den", den), ("nums", MappingProxyType(nums)), ("_terms", None):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"BiExpPolynomial is immutable; cannot set {name!r}")
+        super()._set(den=den, nums=MappingProxyType(nums), _terms=None)
 
     @property
     def terms(self) -> Mapping[Term, int]:
@@ -134,13 +132,6 @@ class BiExpPolynomial:
     def sorted_terms(self) -> list[tuple[Term, int]]:
         den = self.den
         return [((Fraction(a, den), Fraction(b, den)), c) for (a, b), c in self._sorted_nums()]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiExpPolynomial):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "BiExpPolynomial") -> "BiExpPolynomial":
         den = lcm(self.den, other.den)
@@ -339,13 +330,15 @@ def _exponent(lex: _Lexer) -> Fraction:
 # Hodge tables
 
 
-class HodgeTable:
+class HodgeTable(_Value):
     """Map (p, q) -> (dim even part, dim odd part) for an n-variable pair,
     stored as integer numerators (p*den, q*den) over one canonical
     denominator; like BiExpPolynomial, immutable, with `nums` and the
     Fraction view `entries` read-only."""
 
-    __slots__ = ("n", "den", "nums", "_entries")
+    _fields = ("n", "den", "nums")
+    __slots__ = (*_fields, "_entries")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, n: int, entries: Mapping[Term, tuple[int, int]]):
         den, nums = _over_lcd(
@@ -363,12 +356,7 @@ class HodgeTable:
         return T
 
     def _set(self, n: int, den: int, nums: dict[Key, tuple[int, int]]) -> None:
-        fields = ("n", n), ("den", den), ("nums", MappingProxyType(nums)), ("_entries", None)
-        for name, value in fields:
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"HodgeTable is immutable; cannot set {name!r}")
+        super()._set(n=n, den=den, nums=MappingProxyType(nums), _entries=None)
 
     @property
     def entries(self) -> Mapping[Term, tuple[int, int]]:
@@ -388,13 +376,6 @@ class HodgeTable:
     @property
     def total_dimension(self) -> int:
         return sum(de + do for de, do in self.nums.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HodgeTable):
-            return NotImplemented
-        return self.n == other.n and self.den == other.den and self.nums == other.nums
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         rows = ", ".join(f"({p},{q}): {v}" for (p, q), v in self.sorted_entries())

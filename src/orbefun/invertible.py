@@ -66,7 +66,8 @@ class _Value:
     make its value in `_fields`, and sets them once through `_set`; setting
     or deleting an attribute afterwards raises AttributeError.  Instances of
     one class are equal when their `_fields` are, and the hash of those
-    fields is computed on first use and stored.
+    fields is computed on first use and stored; a subclass holding a
+    mapping sets `__hash__ = None` instead.
     """
 
     __slots__ = ("_hash",)
@@ -441,12 +442,6 @@ def _solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[int, tuple[int, .
         if sum(e * x[j] for j, e in enumerate(row) if e) != det * b[i]:
             raise VerificationError(f"solution of E*x = {tuple(b)} fails row {i + 1} of {f.to_text()}")
     return det, tuple(x)
-
-
-def exponent_inverse(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    """E^(-1) as row tuples; column j solves E*x = e_j."""
-    cols = [_solve(f, [int(i == j) for i in range(f.n)]) for j in range(f.n)]
-    return tuple(zip(*(tuple(Fraction(x, det) for x in col) for det, col in cols)))
 
 
 @lru_cache(maxsize=None)

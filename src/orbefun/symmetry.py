@@ -69,7 +69,7 @@ from .invertible import InvertiblePolynomial, _solve, _Value, determinant, trans
 
 
 @total_ordering
-class GroupElement:
+class GroupElement(_Value):
     """An element of (Q/Z)^n stored as its order r and integer numerators a.
 
     Component i is a_i / r with 0 <= a_i < r and gcd(r, a_1, ..., a_n) = 1,
@@ -78,7 +78,7 @@ class GroupElement:
     integer data directly.  Elements order like their Fraction tuples.
     """
 
-    __slots__ = ("r", "a", "_hash")
+    __slots__ = _fields = ("r", "a")
 
     def __init__(self, comps: Iterable[int | Fraction]):
         comps = tuple(comps)
@@ -101,13 +101,7 @@ class GroupElement:
         if d != 1:
             r //= d
             a = [x // d for x in a]
-        a = tuple(a)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_hash", hash((r, a)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"GroupElement is immutable; cannot set {name!r}")
+        super()._set(r=r, a=tuple(a))
 
     @property
     def comps(self) -> tuple[Fraction, ...]:
@@ -116,14 +110,6 @@ class GroupElement:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.r == other.r and self.a == other.a
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "GroupElement") -> bool:
         r, s = self.r, other.r
@@ -398,7 +384,6 @@ def grading_subgroup(f: InvertiblePolynomial) -> AbelianSubgroup:
     return subgroup(f, (grading_operator(f),))
 
 
-@lru_cache(maxsize=None)
 def sl_subgroup(f: InvertiblePolynomial) -> AbelianSubgroup:
     """Elements of G_f with integer age (the SL(n) part): the kernel of the
     form (1, ..., 1) on G_f's lattice."""

@@ -8,7 +8,8 @@ package's lattice forms are checked against them on small groups.
 
 `solve` is the atom-by-atom solver as it ran in Fraction arithmetic before
 it was rewritten in integer numerators over det E; the integer solver is
-checked against it.
+checked against it.  `exponent_inverse` is E^(-1) from the integer solver,
+which the tests check against E itself.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from orbefun import VerificationError, transpose
-from orbefun.invertible import InvertiblePolynomial, exponent_inverse
+from orbefun.invertible import InvertiblePolynomial, _solve
 from orbefun.symmetry import GroupElement, identity, is_in_sl, pairing
 
 
@@ -61,6 +62,12 @@ def solve(f: InvertiblePolynomial, b: Sequence[int]) -> tuple[Fraction, ...]:
         if sum(e * x[j] for j, e in enumerate(row) if e) != b[i]:
             raise VerificationError(f"solution of E*x = {tuple(b)} fails row {i + 1} of {f.to_text()}")
     return tuple(x)
+
+
+def exponent_inverse(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
+    """E^(-1) as row tuples; column j solves E*x = e_j."""
+    cols = [_solve(f, [int(i == j) for i in range(f.n)]) for j in range(f.n)]
+    return tuple(zip(*(tuple(Fraction(x, det) for x in col) for det, col in cols)))
 
 
 def closure(n, gens):

@@ -148,7 +148,7 @@ def test_psi_structure_lists_no_group_element_and_no_basis(monkeypatch):
     monkeypatch.setattr(AbelianSubgroup, "elements", property(refuse))
     monkeypatch.setattr(basis_engine, "milnor_basis", refuse)
     for text in LADDER:
-        assert psi_structure_ok.__wrapped__(parse_polynomial(text))
+        assert psi_structure_ok(parse_polynomial(text))
 
 
 def test_psi_structure_on_small_atoms():

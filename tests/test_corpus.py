@@ -1,10 +1,12 @@
 """Corpus plumbing: file format, battery checks, recorded expectations."""
 
+import re
+from collections import Counter
+
 import pytest
 
-from orbefun import InputSyntaxError
-from orbefun import basis_engine
-from orbefun.basis_engine import psi_structure_ok, spectrum_identity_holds
+from orbefun import InputSyntaxError, parse_polynomial
+from orbefun import basis_engine, corpus
 from orbefun.corpus import (
     CHECKS,
     CorpusEntry,
@@ -92,14 +94,35 @@ def test_run_entry_checks_recorded_efunction():
     assert not run_entry(CorpusEntry("t", "x^3", "Gf", bad)).ok
 
 
-def test_psi_structure_checked_once_per_polynomial():
-    entries = [CorpusEntry(f"e{i}", "x^3*y + y^2*z + z^4", spec)
-               for i, spec in enumerate(("trivial", "G0", "SL", "Gf"))]
-    psi_structure_ok.cache_clear()
-    results = run_corpus(entries)
+CHAIN = "x^3*y + y^2*z + z^4"
+LOOP = "x^2*y + y^2*x"
+CHAIN_F, LOOP_F = parse_polynomial(CHAIN), parse_polynomial(LOOP)
+STANDARD = ("trivial", "G0", "SL", "Gf")
+
+
+def _entries(poly, specs=STANDARD):
+    return [CorpusEntry(f"{poly}/{spec}", poly, spec) for spec in specs]
+
+
+def _count_calls(monkeypatch, name):
+    """Count, by polynomial, the battery's calls of the corpus module's
+    `name`, the check behind one column."""
+    calls = Counter()
+    real = getattr(corpus, name)
+
+    def counting(f):
+        calls[f] += 1
+        return real(f)
+
+    monkeypatch.setattr(corpus, name, counting)
+    return calls
+
+
+def test_psi_structure_checked_once_per_polynomial(monkeypatch):
+    calls = _count_calls(monkeypatch, "psi_structure_ok")
+    results = run_corpus(_entries(CHAIN))
     assert all(r.statuses["psi"] == "PASS" for r in results)
-    info = psi_structure_ok.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert calls == {CHAIN_F: 1}
 
 
 def test_golden_expectations_ride_on_six_entries():
@@ -115,24 +138,55 @@ def test_golden_expectations_ride_on_six_entries():
                for e in default_corpus() if e.expectations)
 
 
-def test_spectrum_identity_checked_once_per_polynomial():
-    entries = [CorpusEntry(f"e{i}", "x^3*y + y^2*z + z^4", spec)
-               for i, spec in enumerate(("trivial", "G0", "SL", "Gf"))]
-    spectrum_identity_holds.cache_clear()
-    results = run_corpus(entries)
+def test_spectrum_identity_checked_once_per_polynomial(monkeypatch):
+    calls = _count_calls(monkeypatch, "spectrum_identity_holds")
+    results = run_corpus(_entries(CHAIN))
     assert all(r.statuses["mu"] == "PASS" for r in results)
-    info = spectrum_identity_holds.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert calls == {CHAIN_F: 1}
 
 
-@pytest.fixture
-def fresh_spectrum_cache():
-    spectrum_identity_holds.cache_clear()
-    yield
-    spectrum_identity_holds.cache_clear()
+def test_interleaved_polynomials_are_checked_once_each(monkeypatch):
+    # the two polynomials share every group spec, so verdicts kept by
+    # anything but the polynomial would skip one of them
+    mu = _count_calls(monkeypatch, "spectrum_identity_holds")
+    psi = _count_calls(monkeypatch, "psi_structure_ok")
+    entries = [e for pair in zip(_entries(CHAIN), _entries(LOOP)) for e in pair]
+    results = run_corpus(entries)
+    assert [r.entry for r in results] == entries
+    assert all(r.statuses["mu"] == r.statuses["psi"] == "PASS" for r in results)
+    assert mu == psi == {CHAIN_F: 1, LOOP_F: 1}
 
 
-def test_corrupted_degree_fails_only_the_mu_column(monkeypatch, fresh_spectrum_cache):
+def test_each_corpus_run_starts_afresh(monkeypatch):
+    mu = _count_calls(monkeypatch, "spectrum_identity_holds")
+    psi = _count_calls(monkeypatch, "psi_structure_ok")
+    first = run_corpus(_entries(CHAIN))
+    assert mu == psi == {CHAIN_F: 1}
+    second = run_corpus(_entries(CHAIN))
+    assert mu == psi == {CHAIN_F: 2}
+    assert [r.statuses for r in first] == [r.statuses for r in second]
+    # a lone entry keeps no verdicts either
+    run_entry(_entries(CHAIN)[0])
+    run_entry(_entries(CHAIN)[0])
+    assert mu == psi == {CHAIN_F: 4}
+
+
+def test_unparsable_polynomial_fails_only_its_own_entries(monkeypatch):
+    bad = "x^3 + "
+    message = "expected a variable (at position 6)"
+    with pytest.raises(InputSyntaxError, match=re.escape(message)):
+        parse_polynomial(bad)
+    psi = _count_calls(monkeypatch, "psi_structure_ok")
+    good = _entries(CHAIN, ("trivial", "G0"))
+    entries = [good[0], *_entries(bad, ("trivial", "G0")), good[1]]
+    results = run_corpus(entries)
+    assert [r.error for r in results] == [None, message, message, None]
+    assert [set(r.statuses.values()) == {"ERROR"} for r in results] == [False, True, True, False]
+    assert results[0].ok and results[3].ok
+    assert psi == {CHAIN_F: 1}
+
+
+def test_corrupted_degree_fails_only_the_mu_column(monkeypatch):
     real = basis_engine.degree_counts
 
     def corrupted(f):

@@ -16,12 +16,12 @@ from orbefun import (
 )
 from orbefun.invertible import (
     determinant,
-    exponent_inverse,
     from_exponent_matrix,
     milnor_number,
     restrict,
     weights,
 )
+from reference_symmetry import exponent_inverse
 from strategies import polynomials
 
 F = Fraction

@@ -34,7 +34,7 @@ ERRORS = (
     "VerificationError",
 )
 
-# the other 51 names the top level used to re-export, by the module that defines them
+# the other 50 names the top level used to re-export, by the module that defines them
 MOVED = {
     "basis_engine": (
         "PairTable SectorContribution atom_basis degree_counts expected_multiplicity "
@@ -47,7 +47,7 @@ MOVED = {
         "hodge_from_efunction parse_efunction variance"
     ),
     "invertible": (
-        "Atom InvertiblePolynomial WeightSystem atom_polynomial determinant exponent_inverse "
+        "Atom InvertiblePolynomial WeightSystem atom_polynomial determinant "
         "from_exponent_matrix milnor_number restrict weights"
     ),
     "symmetry": (

@@ -105,7 +105,6 @@ def test_one_sector_computation_per_fixed_locus(monkeypatch):
         basis_engine, "_invariant_counts", counting("basis", basis_engine._invariant_counts)
     )
     series_engine.efunction_series.cache_clear()
-    basis_engine.locus_bases.cache_clear()
     basis_engine.hodge_table.cache_clear()
     basis_engine.efunction_basis.cache_clear()
     assert efunction_series(ft, Gd) == efunction_basis(ft, Gd)

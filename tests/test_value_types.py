@@ -1,7 +1,11 @@
-"""The value types: immutable, equal and hashed by their fields (the corpus
-records by identity), and BasisMonomial ordered by (exps, ell)."""
+"""The value types: immutable, equal by their fields, hashed by them except
+the three result tables, which are unhashable (the corpus records equal
+only themselves), and BasisMonomial ordered by (exps, ell)."""
 
+import atexit
+import contextlib
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -13,11 +17,18 @@ from hypothesis import given, settings
 
 import orbefun
 from orbefun import DomainError, parse_polynomial, transpose
-from orbefun.basis_engine import BasisMonomial, milnor_basis, sectors
+from orbefun.basis_engine import (
+    BasisMonomial,
+    efunction_basis,
+    hodge_table,
+    milnor_basis,
+    pair_table,
+    sectors,
+)
 from orbefun.cli import main
 from orbefun.corpus import CorpusEntry, run_entry
 from orbefun.invertible import Atom, restrict, weights
-from orbefun.symmetry import gf_group, subgroup
+from orbefun.symmetry import GroupElement, gf_group, subgroup
 from strategies import polynomials
 
 
@@ -48,6 +59,14 @@ def test_values_differ_in_any_field():
     assert BasisMonomial((1,), Fraction(1, 2)) != BasisMonomial((1,), Fraction(1, 3))
     atom = f.atoms[0]
     assert f != atom and atom != (atom.kind, atom.var_indices, atom.a)
+    assert GroupElement._from_ints(3, (1, 2)) != GroupElement._from_ints(5, (1, 2))
+    assert GroupElement._from_ints(3, (1, 2)) != GroupElement._from_ints(3, (2, 1))
+
+
+def test_group_elements_equal_however_built():
+    F = Fraction
+    _equal_values(GroupElement((F(1, 3), F(2, 3))), GroupElement._from_ints(6, (2, 4)))
+    _equal_values(GroupElement((F(4, 3), -1)), GroupElement._from_ints(3, (1, 3)))
 
 
 def test_corpus_records_equal_only_themselves():
@@ -58,36 +77,64 @@ def test_corpus_records_equal_only_themselves():
     assert run_entry(entry) != run_entry(entry)
 
 
-def test_every_value_type_is_immutable():
+def _one_of_each_value_type():
     f = parse_polynomial("x^3*y + y^2")
     G = gf_group(f)
     entry = CorpusEntry("c", "x^3", "Gf")
-    values = (
+    return (
         f.atoms[0],
         weights(f),
         f,
         G,
+        G.generators[0],
         milnor_basis(f)[0],
         sectors(f, G)[0],
+        efunction_basis(f, G),
+        hodge_table(f, G),
+        pair_table(f, G),
         entry,
         run_entry(entry),
     )
+
+
+def test_every_value_type_is_immutable():
+    values = _one_of_each_value_type()
     assert sorted(type(v).__name__ for v in values) == sorted(
-        "Atom WeightSystem InvertiblePolynomial AbelianSubgroup BasisMonomial "
-        "SectorContribution CorpusEntry EntryResult".split()
+        "Atom WeightSystem InvertiblePolynomial AbelianSubgroup GroupElement BasisMonomial "
+        "SectorContribution BiExpPolynomial HodgeTable PairTable CorpusEntry EntryResult".split()
     )
     for value in values:
-        name = type(value)._fields[0]
-        before = getattr(value, name)
-        with pytest.raises(AttributeError):
-            setattr(value, name, None)
-        with pytest.raises(AttributeError):
-            delattr(value, name)
+        for name in type(value)._fields:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is before
         with pytest.raises(AttributeError):
             value.extra = 1
-        assert getattr(value, name) is before
+    by_name = {type(v).__name__: v for v in values}
     with pytest.raises(AttributeError):
-        G._elements = frozenset()
+        by_name["AbelianSubgroup"]._elements = frozenset()
+    with pytest.raises(AttributeError):
+        by_name["BiExpPolynomial"]._terms = None
+    with pytest.raises(AttributeError):
+        by_name["HodgeTable"]._entries = None
+
+
+def test_values_compare_only_with_their_own_class():
+    values = _one_of_each_value_type()
+    for value in values:
+        for other in (None, 0, (), *(v for v in values if type(v) is not type(value))):
+            assert type(value).__eq__(value, other) is NotImplemented
+            assert value != other
+    unhashable = [v for v in values if type(v).__hash__ is None]
+    assert sorted(type(v).__name__ for v in unhashable) == [
+        "BiExpPolynomial", "HodgeTable", "PairTable",
+    ]
+    for value in unhashable:
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_basis_monomials_sort_by_exps_then_ell():
@@ -145,3 +192,13 @@ def test_main_leaves_one_exit_hook_however_often_it_runs(capsys):
     frozen = gc.get_freeze_count()
     assert main(["info", "x^3"]) == 0
     assert gc.get_freeze_count() == frozen and gc.isenabled()
+
+
+def test_main_adds_at_most_one_exit_slot():
+    # unregistering a hook leaves its slot behind, so registering it again on
+    # every call would grow the exit table by one slot per call
+    before = atexit._ncallbacks()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(1000):
+            assert main(["info", "x^3"]) == 0
+    assert atexit._ncallbacks() - before <= 1
