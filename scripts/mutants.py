@@ -36,6 +36,7 @@ LATTICES = "tests/test_lattices.py::"
 SOLVER = "tests/test_solver.py::"
 EFUNCTION = "tests/test_efunction.py::"
 PARSERS = "tests/test_parsers.py::"
+MULTIPLICATIVITY = "tests/test_multiplicativity.py::"
 # the psi column: the named small atoms and every atom of the bundled corpus
 PSI = (
     "tests/test_basis_engine.py::test_psi_structure_on_small_atoms",
@@ -187,6 +188,13 @@ MUTANTS = (
         (SERIES + "test_pass_holds_no_more_than_the_walk",),
     ),
     (
+        "series prefactor halving n - n_g before scaling it",
+        "series_engine.py",
+        "(f.n - len(fixed)) * L // 2",
+        "(f.n - len(fixed)) // 2 * L",
+        (MULTIPLICATIVITY + "test_ladder_splits_into_its_atoms", MULTIPLICATIVITY + "test_small_atoms"),
+    ),
+    (
         "series pass with one degree moved",
         "series_engine.py",
         "            factor[(0,) * len(touched)] = [(scale, 1)]",
@@ -275,13 +283,27 @@ MUTANTS = (
         "import re\nimport warnings\nfrom dataclasses import dataclass\n",
         ("tests/test_public_api.py::test_each_command_loads_only_the_modules_it_runs",),
     ),
-    # the value types: equality and hashing read every field
+    # the value types: equality and hashing read every field; the corpus records are read-only
     (
         "polynomial equality and hashing without the variables",
         "invertible.py",
         '    __slots__ = _fields = ("n", "exponents", "variables", "atoms")',
         '    __slots__ = ("n", "exponents", "variables", "atoms")\n    _fields = ("n", "exponents", "atoms")',
         ("tests/test_value_types.py::test_values_differ_in_any_field",),
+    ),
+    (
+        "group element without the gcd reduction",
+        "symmetry.py",
+        "        if d != 1:\n            r //= d\n",
+        "        if False:\n            r //= d\n",
+        ("tests/test_value_types.py::test_group_elements_equal_however_built",),
+    ),
+    (
+        "corpus statuses held as a plain dict",
+        "corpus.py",
+        "statuses=MappingProxyType(dict(statuses))",
+        "statuses=dict(statuses)",
+        ("tests/test_corpus.py::test_corpus_records_are_read_only",),
     ),
     (
         "group element equality and hashing without the order",

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import product
 from math import lcm, prod
@@ -79,12 +78,13 @@ from .symmetry import (
 
 @total_ordering
 class BasisMonomial(_Value):
-    """Exponent tuple of one Milnor-ring basis monomial and its degree
-    l = sum q_i*(k_i + 1); monomials order by (exps, ell)."""
+    """Exponent tuple of one Milnor-ring basis monomial and its degree l = sum
+    q_i*(k_i + 1) as `ell` = l*d, d the weights' common denominator; monomials
+    order by (exps, ell)."""
 
     __slots__ = _fields = ("exps", "ell")
 
-    def __init__(self, exps: tuple[int, ...], ell: Fraction):
+    def __init__(self, exps: tuple[int, ...], ell: int):
         self._set(exps=exps, ell=ell)
 
     def __lt__(self, other: BasisMonomial) -> bool:
@@ -129,8 +129,7 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
 
     The zero-variable polynomial has the single empty monomial of degree 0.
     """
-    ws = weights(f)
-    w, d = ws.w, ws.d
+    w = weights(f).w
     per_atom = [(atom.var_indices, atom_basis(atom)) for atom in f.atoms]
     out = []
     for combo in product(*(ks for _, ks in per_atom)):
@@ -138,8 +137,7 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
         for (idxs, _), k in zip(per_atom, combo):
             for i, v in zip(idxs, k):
                 exps[i] = v
-        ell = Fraction(sum(w[i] * (exps[i] + 1) for i in range(f.n)), d)
-        out.append(BasisMonomial(tuple(exps), ell))
+        out.append(BasisMonomial(tuple(exps), sum(w[i] * (exps[i] + 1) for i in range(f.n))))
     out.sort()
     if len(out) != milnor_number(f):
         raise VerificationError(
@@ -288,10 +286,11 @@ def _loci(
     those of f on I, and the tests and ages of I from `locus_ages`."""
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
-    qf = weights(f).q
+    ws = weights(f)
     for fixed, (tests, ages) in locus_ages(G).items():
         fsub = restrict(f, fixed)
-        if fsub.n and weights(fsub).q != tuple(qf[i] for i in fixed):
+        sub = weights(fsub)
+        if any(x * ws.d != ws.w[i] * sub.d for x, i in zip(sub.w, fixed)):
             raise VerificationError(f"weights of {fsub.to_text()} are not those of {f.to_text()}")
         yield fixed, fsub, tests, ages
 
@@ -352,7 +351,7 @@ def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynom
 def psi(f: InvertiblePolynomial, exps: tuple[int, ...]) -> GroupElement:
     """The solution x of E^T * x = exps + 1, mod 1; always a diagonal symmetry
     of the transposed polynomial, whose exponent matrix is E^T."""
-    return GroupElement._from_ints(*_solve(transpose(f), [e + 1 for e in exps]))
+    return GroupElement(*_solve(transpose(f), [e + 1 for e in exps]))
 
 
 class PairTable(_Value):
@@ -396,7 +395,7 @@ def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
             a = [0] * f.n
             for j, i in enumerate(sec.fixed):
                 a[i] = h.a[j]
-            gt = GroupElement._from_ints(h.r, a)
+            gt = GroupElement(h.r, a)
             if gt not in Gd:
                 raise VerificationError(
                     f"psi image {format_element(gt)} is not in the dual group {Gd}"

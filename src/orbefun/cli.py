@@ -111,9 +111,9 @@ def _compute(f, G, engine: str):
     series = efunction_series(f, G)
     if basis != series:
         differ = (basis - series).sorted_terms()
+        bt, st = basis.terms, series.terms
         shown = "; ".join(
-            f"t^({et})*tb^({etb}): basis {basis.terms.get((et, etb), 0)}, "
-            f"series {series.terms.get((et, etb), 0)}"
+            f"t^({et})*tb^({etb}): basis {bt.get((et, etb), 0)}, series {st.get((et, etb), 0)}"
             for (et, etb), _ in differ[:_MISMATCHES_SHOWN]
         )
         raise VerificationError(
@@ -346,7 +346,7 @@ def cmd_corpus(args) -> int:
     if args.fmt == "json":
         rows = []
         for r in results:
-            row = {"name": r.entry.name, "checks": r.statuses, "ok": r.ok}
+            row = {"name": r.entry.name, "checks": dict(r.statuses), "ok": r.ok}
             if r.error is not None:
                 row["error"] = r.error
             rows.append(row)

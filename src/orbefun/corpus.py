@@ -22,7 +22,8 @@ File format (one entry per line, `#` comments):
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from .basis_engine import (
     efunction_basis,
@@ -69,33 +70,36 @@ CHECKS = (
 
 
 class CorpusEntry(_Value):
-    """One line of a corpus file; equal only to itself."""
+    """One line of a corpus file; equal only to itself.  The expectations are
+    stored as their canonical JSON text (or None), which the battery reads
+    when the entry runs, so no caller can change them after construction."""
 
     __slots__ = _fields = ("name", "poly", "group", "expectations")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, name: str, poly: str, group: str, expectations: dict | None = None):
-        self._set(name=name, poly=poly, group=group, expectations=expectations)
+    def __init__(self, name: str, poly: str, group: str, expectations: object = None):
+        text = None if expectations is None else json.dumps(expectations, sort_keys=True)
+        self._set(name=name, poly=poly, group=group, expectations=text)
 
     def to_line(self) -> str:
         base = f"{self.name} ; {self.poly} ; {self.group}"
         if self.expectations is not None:
-            base += f" ; {json.dumps(self.expectations, sort_keys=True)}"
+            base += f" ; {self.expectations}"
         return base
 
 
 class EntryResult(_Value):
     """The status of every check for one entry: PASS, FAIL, "-" (does not
     apply) or ERROR (the entry itself is invalid; `error` says why); equal
-    only to itself."""
+    only to itself; `statuses` is a read-only copy."""
 
     __slots__ = _fields = ("entry", "statuses", "error")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, entry: CorpusEntry, statuses: dict[str, str], error: str | None = None):
-        self._set(entry=entry, statuses=statuses, error=error)
+    def __init__(self, entry: CorpusEntry, statuses: Mapping[str, str], error: str | None = None):
+        self._set(entry=entry, statuses=MappingProxyType(dict(statuses)), error=error)
 
     @property
     def ok(self) -> bool:
@@ -111,13 +115,14 @@ _Verdicts = dict[InvertiblePolynomial, tuple[str, str]]
 
 
 def run_entry(entry: CorpusEntry, verdicts: _Verdicts | None = None) -> EntryResult:
-    """Run the battery on one entry; an entry that raises an OrbefunError
-    gets ERROR in every column, so the rest of the corpus still runs.
-    `run_corpus` passes one `verdicts` to all entries of a run, so those
-    columns are computed once per polynomial; a lone call starts afresh."""
+    """Run the battery on one entry; an entry that raises an OrbefunError, or
+    whose expectations nest too deeply to read back, gets ERROR in every
+    column, so the rest of the corpus still runs.  `run_corpus` passes one
+    `verdicts` to all entries of a run, so those columns are computed once
+    per polynomial; a lone call starts afresh."""
     try:
         return _run_checks(entry, {} if verdicts is None else verdicts)
-    except OrbefunError as exc:
+    except (OrbefunError, RecursionError) as exc:
         return EntryResult(entry, dict.fromkeys(CHECKS, "ERROR"), str(exc))
 
 
@@ -174,12 +179,13 @@ def _run_checks(entry: CorpusEntry, verdicts: _Verdicts) -> EntryResult:
     return EntryResult(entry, st)
 
 
-def _read_expectations(exp: object) -> dict[str, object]:
-    """An entry's recorded expectations, read strictly: an object with keys
-    among efunction (the JSON form), chi (an integer) and variance (an exact
-    rational).  Anything else is an InputSyntaxError."""
-    if exp is None:
+def _read_expectations(text: str | None) -> dict[str, object]:
+    """An entry's recorded expectations from their JSON text, read strictly:
+    an object with keys among efunction (the JSON form), chi (an integer)
+    and variance (an exact rational).  Anything else is an InputSyntaxError."""
+    if text is None:
         return {}
+    exp = json.loads(text)  # valid JSON: the entry wrote it
     if not isinstance(exp, dict):
         raise InputSyntaxError(f"expectations must be a JSON object, got {exp!r}", 0)
     out: dict[str, object] = {}
@@ -346,16 +352,13 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             raise InputSyntaxError(
                 f"corpus line {lineno}: expected 'name ; poly ; group-spec'", 0
             )
-        expectations = None
-        if len(parts) == 4 and parts[3]:
-            try:
-                expectations = json.loads(parts[3])
-            # JSONDecodeError, an integer beyond the digit limit, or too deep a nesting
-            except (ValueError, RecursionError) as exc:
-                raise InputSyntaxError(
-                    f"corpus line {lineno}: bad expectations JSON: {exc}", 0
-                ) from exc
-        entries.append(CorpusEntry(parts[0], parts[1], parts[2], expectations))
+        try:
+            expectations = json.loads(parts[3]) if len(parts) == 4 and parts[3] else None
+            entries.append(CorpusEntry(parts[0], parts[1], parts[2], expectations))
+        # JSONDecodeError, an integer beyond the digit limit, or a nesting too
+        # deep to read or to write back as the entry's canonical text
+        except (ValueError, RecursionError) as exc:
+            raise InputSyntaxError(f"corpus line {lineno}: bad expectations JSON: {exc}", 0) from exc
     return entries
 
 

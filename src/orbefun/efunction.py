@@ -17,7 +17,7 @@ All arithmetic, comparison, conversion and the signed moments run on the
 integers.  Fractions appear only at the edges: the constructors that take
 Fraction-keyed maps, the parser, the JSON form, the text forms, `exponents`,
 the values `variance` and `exponent_mean` return, and the read-only
-Fraction views `terms` and `entries`, built on first use.  The engines build
+Fraction views `terms` and `entries`, computed on read.  The engines build
 theirs through `from_numerators`, from integer weights, ages and degrees.
 
 Canonical text form: terms sorted lexicographically by exponent pair,
@@ -92,8 +92,7 @@ class BiExpPolynomial(_Value):
     The attributes cannot be set, and `nums` and the Fraction view `terms`
     are read-only, so a cached E-function cannot be changed by its callers."""
 
-    _fields = ("den", "nums")
-    __slots__ = (*_fields, "_terms")
+    __slots__ = _fields = ("den", "nums")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
@@ -108,17 +107,12 @@ class BiExpPolynomial(_Value):
         return P
 
     def _set(self, den: int, nums: dict[Key, int]) -> None:
-        super()._set(den=den, nums=MappingProxyType(nums), _terms=None)
+        super()._set(den=den, nums=MappingProxyType(nums))
 
     @property
     def terms(self) -> Mapping[Term, int]:
         """(t-exponent, tb-exponent) -> coefficient, exponents as Fractions."""
-        if self._terms is None:
-            den = self.den
-            object.__setattr__(self, "_terms", MappingProxyType(
-                {(Fraction(a, den), Fraction(b, den)): c for (a, b), c in self.nums.items()}
-            ))
-        return self._terms
+        return MappingProxyType(dict(self.sorted_terms()))
 
     @property
     def is_zero(self) -> bool:
@@ -336,8 +330,7 @@ class HodgeTable(_Value):
     denominator; like BiExpPolynomial, immutable, with `nums` and the
     Fraction view `entries` read-only."""
 
-    _fields = ("n", "den", "nums")
-    __slots__ = (*_fields, "_entries")
+    __slots__ = _fields = ("n", "den", "nums")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, n: int, entries: Mapping[Term, tuple[int, int]]):
@@ -356,17 +349,12 @@ class HodgeTable(_Value):
         return T
 
     def _set(self, n: int, den: int, nums: dict[Key, tuple[int, int]]) -> None:
-        super()._set(n=n, den=den, nums=MappingProxyType(nums), _entries=None)
+        super()._set(n=n, den=den, nums=MappingProxyType(nums))
 
     @property
     def entries(self) -> Mapping[Term, tuple[int, int]]:
         """(p, q) -> (even, odd), bidegrees as Fractions."""
-        if self._entries is None:
-            den = self.den
-            object.__setattr__(self, "_entries", MappingProxyType(
-                {(Fraction(p, den), Fraction(q, den)): v for (p, q), v in self.nums.items()}
-            ))
-        return self._entries
+        return MappingProxyType(dict(self.sorted_entries()))
 
     def sorted_entries(self) -> list[tuple[Term, tuple[int, int]]]:
         den = self.den
@@ -456,8 +444,9 @@ def variance(table: HodgeTable) -> Fraction:
 
 
 def central_charge(f: InvertiblePolynomial) -> Fraction:
-    """chat = n - 2 * sum(q_i)."""
-    return f.n - 2 * sum(weights(f).q, Fraction(0))
+    """chat = n - 2 * sum(q_i) = (n*d - 2 * sum(w_i)) / d."""
+    ws = weights(f)
+    return Fraction(f.n * ws.d - 2 * sum(ws.w), ws.d)
 
 
 def check_duality(P: BiExpPolynomial, Q: BiExpPolynomial, n: int) -> bool:

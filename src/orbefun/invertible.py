@@ -134,10 +134,14 @@ class Atom(_Value):
 class WeightSystem(_Value):
     """Weights q with E*q = (1,...,1)^T: q_i = w_i/d, d the least common denominator."""
 
-    __slots__ = _fields = ("q", "d", "w")
+    __slots__ = _fields = ("d", "w")
 
-    def __init__(self, q: tuple[Fraction, ...], d: int, w: tuple[int, ...]):
-        self._set(q=q, d=d, w=w)
+    def __init__(self, d: int, w: tuple[int, ...]):
+        self._set(d=d, w=w)
+
+    @property
+    def q(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.d) for x in self.w)
 
 
 class InvertiblePolynomial(_Value):
@@ -451,7 +455,7 @@ def weights(f: InvertiblePolynomial) -> WeightSystem:
     if not all(0 < 2 * xi <= det for xi in x):
         raise VerificationError(f"weights of {f.to_text()} are not all in (0, 1/2]")
     g = gcd(det, *x)
-    return WeightSystem(tuple(Fraction(xi, det) for xi in x), det // g, tuple(xi // g for xi in x))
+    return WeightSystem(det // g, tuple(xi // g for xi in x))
 
 
 def milnor_number(f: InvertiblePolynomial) -> int:

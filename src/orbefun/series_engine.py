@@ -12,10 +12,10 @@ with G trivial and g the identity it collapses to the closed product
 prod_i (y^(1/2) - y^(q_i - 1/2)) / (1 - y^(q_i)).
 
 Expanding the product one coordinate at a time makes this exact and fast.
-All exponents are integer "costs": y-degrees times a common denominator
-`scale`, raised by 1/2 per coordinate so that none is negative.  In these
-units the coefficient of c^v in the series of a coordinate of weight q
-(q scaled too) is the factor
+All exponents are integer "costs": y-degrees times `scale` = lcm(2, d), d
+the weights' common denominator, raised by 1/2 per coordinate so that none
+is negative.  In these units the coefficient of c^v in the series of a
+coordinate of weight q = w/d (q scaled too) is the factor
 
     y^scale                          for v = 0,
     -y^(v*q) + y^(v*q + scale)       for v >= 1.
@@ -52,7 +52,6 @@ that locus (A_I, from `symmetry.locus_ages`).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -116,19 +115,19 @@ def _layers(
 
 
 def _invariant_sector_series(
-    qsub: tuple[Fraction, ...], chardata: Tests
+    w: tuple[int, ...], d: int, chardata: Tests
 ) -> tuple[int, dict[int, int]]:
-    """Invariant part of the coordinate-series product, as (scale, y-degree
-    times scale -> coeff).
+    """Invariant part of the coordinate-series product for coordinates of
+    weights w_i/d, as (scale, y-degree times scale -> coeff), scale = lcm(2, d).
 
     One pass over the coordinates (`_layers`) under the tests of `chardata`,
     rewritten over one modulus.  Once every constraint has closed, the only
     state left is the invariant one, all residues 0; its costs, lowered by
     1/2 per coordinate, are the y-degrees in units of 1/scale.
     """
-    m = len(qsub)
-    scale = lcm(2, *(q.denominator for q in qsub))
-    qs = [q.numerator * (scale // q.denominator) for q in qsub]
+    m = len(w)
+    scale = lcm(2, d)
+    qs = [x * (scale // d) for x in w]
     top = sum(scale - v for v in qs)
     N = lcm(*(den for den, _ in chardata))
     rows = [[x * (N // den) for x in vec] for den, vec in chardata]
@@ -144,15 +143,15 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
 
     Every term is placed over L = 2*lcm(N, d), N the group's exponent and d
     the weights' common denominator: `locus_ages` gives the ages as
-    numerators over N, and each locus's scale divides 2*d.
+    numerators over N, and each locus's scale, lcm(2, d), divides L.
     """
     if G.ambient != f:
         raise DomainError(f"group {G} belongs to {G.ambient.to_text()}, not to {f.to_text()}")
-    qf = weights(f).q
-    L = 2 * lcm(G.N, weights(f).d)
+    ws = weights(f)
+    L = 2 * lcm(G.N, ws.d)
     terms: dict[tuple[int, int], int] = {}
     for fixed, (tests, ages) in locus_ages(G).items():
-        scale, inner = _invariant_sector_series(tuple(qf[i] for i in fixed), tests)
+        scale, inner = _invariant_sector_series(tuple(ws.w[i] for i in fixed), ws.d, tests)
         degrees = [(e * (L // scale), coeff) for e, coeff in inner.items()]
         for age, count in ages.items():
             prefactor = age * (L // G.N) - (f.n - len(fixed)) * L // 2

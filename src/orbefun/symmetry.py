@@ -3,7 +3,7 @@
 A group element is a vector in (Q/Z)^n; component c_i acts on coordinate i
 by the root of unity e[c_i] = exp(2*pi*i*c_i).  It is stored in integers:
 its order r and numerators a with c_i = a_i / r, 0 <= a_i < r and
-gcd(r, a_1, ..., a_n) = 1.  This form is canonical, so arithmetic, hashing,
+gcd(r, a_1, ..., a_n) = 1.  This form is canonical, so equality, hashing,
 ordering and fixed loci run on integers; `comps` is a Fraction view.  The
 maximal diagonal symmetry group of f is
 
@@ -72,36 +72,25 @@ from .invertible import InvertiblePolynomial, _solve, _Value, determinant, trans
 class GroupElement(_Value):
     """An element of (Q/Z)^n stored as its order r and integer numerators a.
 
-    Component i is a_i / r with 0 <= a_i < r and gcd(r, a_1, ..., a_n) = 1,
-    so equal elements have equal (r, a).  The constructor takes ints or
-    Fractions and reduces them mod 1; `_from_ints` builds an element from
-    integer data directly.  Elements order like their Fraction tuples.
+    `GroupElement(r, a)` is (a_1/r, ..., a_n/r) mod 1, r a positive integer
+    and a_i integers, stored with 0 <= a_i < r and gcd(r, a_1, ..., a_n) = 1,
+    so equal elements have equal (r, a).  `comps` is the Fraction view, and
+    elements order like their Fraction tuples.
     """
 
     __slots__ = _fields = ("r", "a")
 
-    def __init__(self, comps: Iterable[int | Fraction]):
-        comps = tuple(comps)
-        if any(isinstance(c, float) for c in comps):
-            raise TypeError(f"group element components must be exact, got {comps!r}")
-        fracs = [Fraction(c) for c in comps]
-        r = lcm(*(c.denominator for c in fracs))
-        self._set(r, [c.numerator * (r // c.denominator) for c in fracs])
-
-    @classmethod
-    def _from_ints(cls, r: int, a: Iterable[int]) -> "GroupElement":
-        """The element (a_1/r, ..., a_n/r) mod 1, for any integers a_i and r > 0."""
-        g = cls.__new__(cls)
-        g._set(r, a)
-        return g
-
-    def _set(self, r: int, a: Iterable[int]) -> None:
+    def __init__(self, r: int, a: Iterable[int]):
+        if not isinstance(r, int):
+            raise TypeError(f"group element order must be an integer, got {r!r}")
+        if r < 1:
+            raise ValueError(f"group element order must be positive, got {r}")
         a = [x % r for x in a]
-        d = gcd(r, *a)
+        d = gcd(r, *a)  # a TypeError unless every entry is an integer
         if d != 1:
             r //= d
             a = [x // d for x in a]
-        super()._set(r=r, a=tuple(a))
+        self._set(r=r, a=tuple(a))
 
     @property
     def comps(self) -> tuple[Fraction, ...]:
@@ -117,20 +106,6 @@ class GroupElement(_Value):
             if x * s != y * r:
                 return x * s < y * r
         return len(self.a) < len(other.a)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        m = lcm(self.r, other.r)
-        u, v = m // self.r, m // other.r
-        return GroupElement._from_ints(m, [x * u + y * v for x, y in zip(self.a, other.a)])
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement._from_ints(self.r, [-x for x in self.a])
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def scaled(self, m: int) -> "GroupElement":
-        return GroupElement._from_ints(self.r, [m * x for x in self.a])
 
     @property
     def age(self) -> Fraction:
@@ -151,15 +126,12 @@ class GroupElement(_Value):
     def order(self) -> int:
         return self.r
 
-    def __repr__(self) -> str:
-        return f"GroupElement(comps={self.comps!r})"
-
     def __str__(self) -> str:
         return format_element(self)
 
 
 def identity(n: int) -> GroupElement:
-    return GroupElement._from_ints(1, (0,) * n)
+    return GroupElement(1, (0,) * n)
 
 
 def is_in_sl(g: GroupElement) -> bool:
@@ -292,7 +264,7 @@ class AbelianSubgroup(_Value):
         right of the pivot are already least modulo the rows below it."""
         N = self.N
         return tuple(
-            GroupElement._from_ints(N, row)
+            GroupElement(N, row)
             for j, row in reversed(tuple(enumerate(self.rows)))
             if row[j] != N
         )
@@ -307,7 +279,7 @@ class AbelianSubgroup(_Value):
             for j, row in enumerate(self.rows):
                 steps = [[c * x % N for x in row] for c in range(N // row[j])]
                 vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
-            elements = frozenset(GroupElement._from_ints(N, v) for v in vecs)
+            elements = frozenset(GroupElement(N, v) for v in vecs)
             object.__setattr__(self, "_elements", elements)
         return self._elements
 
@@ -374,7 +346,7 @@ def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSu
 
 def grading_operator(f: InvertiblePolynomial) -> GroupElement:
     """The exponential grading operator g0 = (q_1, ..., q_n)."""
-    g0 = GroupElement._from_ints(weights(f).d, weights(f).w)
+    g0 = GroupElement(weights(f).d, weights(f).w)
     if not gf_contains(f, g0):
         raise VerificationError(f"grading operator {format_element(g0)} is not in G_f")
     return g0
@@ -419,7 +391,7 @@ def dual_group(f: InvertiblePolynomial, G: AbelianSubgroup) -> AbelianSubgroup:
         ea = [sum(e * x for e, x in zip(row, a)) for row in f.exponents]
         if any(v % N for v in ea):
             raise VerificationError(
-                f"E*g is not integral for the generator {format_element(GroupElement._from_ints(N, a))}"
+                f"E*g is not integral for the generator {format_element(GroupElement(N, a))}"
             )
         forms.append([v // N for v in ea])
     unit = tuple(tuple(int(i == j) for j in range(f.n)) for i in range(f.n))
@@ -482,7 +454,7 @@ def parse_element(text: str, n: int) -> GroupElement:
         nums = [int(p) for p in parts]
     except ValueError:  # beyond the interpreter's digit limit
         raise InputSyntaxError("component too long", text.index("(") + 1) from None
-    return GroupElement._from_ints(r, nums)
+    return GroupElement(r, nums)
 
 
 def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:

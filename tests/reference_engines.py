@@ -133,11 +133,18 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
     return tuple(out)
 
 
+def _degrees(f: InvertiblePolynomial, sec: SectorContribution) -> list[Fraction]:
+    """The degrees l of the sector's invariant monomials, as Fractions: each
+    `ell` is l times the weights' denominator of f on the fixed locus."""
+    d = weights(restrict(f, sec.fixed)).d
+    return [Fraction(m.ell, d) for m in sec.monomials]
+
+
 def locus_degree_counts(
     f: InvertiblePolynomial, G: AbelianSubgroup
 ) -> dict[tuple[int, ...], Counter]:
     """Fixed locus -> degree -> number of invariant basis monomials there."""
-    return {sec.fixed: Counter(m.ell for m in sec.monomials) for sec in sectors(f, G)}
+    return {sec.fixed: Counter(_degrees(f, sec)) for sec in sectors(f, G)}
 
 
 def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
@@ -147,8 +154,8 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
         ng = sec.n_fixed
         odd = ng % 2
         age = sec.g.age
-        for m in sec.monomials:
-            key = (age + ng - m.ell, age + m.ell)
+        for ell in _degrees(f, sec):
+            key = (age + ng - ell, age + ell)
             de, do = entries.get(key, (0, 0))
             entries[key] = (de + 1 - odd, do + odd)
     return HodgeTable(f.n, entries)

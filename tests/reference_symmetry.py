@@ -6,6 +6,9 @@ whole closure after each new generator, and a subgroup-lattice walk that
 closes under pairwise sums.  They are slow but obviously correct, so the
 package's lattice forms are checked against them on small groups.
 
+Elements are added through their Fraction view (`add`), with the oracle's
+own arithmetic: the package's elements have no arithmetic of their own.
+
 `solve` is the atom-by-atom solver as it ran in Fraction arithmetic before
 it was rewritten in integer numerators over det E; the integer solver is
 checked against it.  `exponent_inverse` is E^(-1) from the integer solver,
@@ -14,6 +17,7 @@ which the tests check against E itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from orbefun import VerificationError, transpose
@@ -70,6 +74,17 @@ def exponent_inverse(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...
     return tuple(zip(*(tuple(Fraction(x, det) for x in col) for det, col in cols)))
 
 
+def element(comps) -> GroupElement:
+    """The element with the given rational components, taken mod 1."""
+    comps = [Fraction(c) % 1 for c in comps]
+    r = lcm(*(c.denominator for c in comps))
+    return GroupElement(r, [c.numerator * (r // c.denominator) for c in comps])
+
+
+def add(g: GroupElement, h: GroupElement) -> GroupElement:
+    return element(x + y for x, y in zip(g.comps, h.comps))
+
+
 def closure(n, gens):
     elems = {identity(n)}
     frontier = [identity(n)]
@@ -77,7 +92,7 @@ def closure(n, gens):
     while frontier:
         e = frontier.pop()
         for g in gens:
-            s = e + g
+            s = add(e, g)
             if s not in elems:
                 elems.add(s)
                 frontier.append(s)
@@ -101,7 +116,7 @@ def from_elements(ambient, elements):
 
 def gf_group(f):
     cols = tuple(zip(*exponent_inverse(f))) if f.n else ()
-    return from_elements(f, closure(f.n, (GroupElement(col) for col in cols)))
+    return from_elements(f, closure(f.n, (element(col) for col in cols)))
 
 
 def subgroup(f, gens):
@@ -138,7 +153,7 @@ def all_subgroups(G):
             while new:
                 x = new.pop()
                 for y in tuple(extended):
-                    s = x + y
+                    s = add(x, y)
                     if s not in extended:
                         extended.add(s)
                         new.append(s)

@@ -61,10 +61,11 @@ def test_milnor_basis_chain_3_2():
     basis = milnor_basis(f)
     assert len(basis) == 5
     assert {m.exps for m in basis} == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)}
-    by_exp = {m.exps: m.ell for m in basis}
-    assert by_exp[(0, 0)] == F(2, 3)
-    assert by_exp[(2, 0)] == 1
-    assert by_exp[(1, 1)] == F(4, 3)
+    by_exp = {m.exps: m.ell for m in basis}  # degrees over d = 6
+    assert weights(f).d == 6
+    assert by_exp[(0, 0)] == 4
+    assert by_exp[(2, 0)] == 6
+    assert by_exp[(1, 1)] == 8
 
 
 def test_degree_multiset_is_palindromic():
@@ -87,7 +88,7 @@ def test_sectors_of_diag44_grading_group():
     assert len(secs) == 4
     free = secs[identity(2)]
     assert {m.exps for m in free.monomials} == {(0, 2), (1, 1), (2, 0)}
-    assert all(m.ell == 1 for m in free.monomials)
+    assert all(m.ell == weights(f).d for m in free.monomials)
     # the two age-J sectors contribute one empty monomial each
     twisted = secs[parse_element("1/4(1,1)", 2)]
     assert twisted.fixed == ()
@@ -229,7 +230,7 @@ def test_pair_table_total_and_transpose_random(fG):
 def test_degree_law_for_psi(f):
     for m in milnor_basis(f):
         im = psi(f, m.exps)
-        assert m.ell == im.age + F(im.n_fixed, 2)
+        assert F(m.ell, weights(f).d) == im.age + F(im.n_fixed, 2)
 
 
 def test_cached_values_are_read_only():

@@ -1,6 +1,8 @@
 """Corpus plumbing: file format, battery checks, recorded expectations."""
 
+import json
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -48,7 +50,7 @@ with_expect ; x^3 ; trivial ; {"chi": -2}
 """
     entries = parse_corpus(text)
     assert [e.name for e in entries] == ["fermat3/Gf", "with_expect"]
-    assert entries[1].expectations == {"chi": -2}
+    assert entries[1].expectations == '{"chi": -2}'
     again = parse_corpus(format_corpus(entries))
     assert [e.name for e in again] == [e.name for e in entries]
     assert again[1].expectations == entries[1].expectations
@@ -92,6 +94,57 @@ def test_run_entry_checks_recorded_efunction():
     assert run_entry(CorpusEntry("t", "x^3", "Gf", good)).ok
     bad = {"efunction": [{"t": "0", "tbar": "0", "coeff": 1}]}
     assert not run_entry(CorpusEntry("t", "x^3", "Gf", bad)).ok
+
+
+def test_corpus_records_are_read_only():
+    r = run_entry(CorpusEntry("c", "x^3", "Gf", {"chi": 2}))
+    assert r.ok
+    with pytest.raises(TypeError):
+        r.statuses["psi"] = "FAIL"
+    with pytest.raises(TypeError):
+        r.entry.expectations["chi"] = 5
+    assert r.ok and r.statuses["expect"] == "PASS"
+    assert run_entry(r.entry).statuses["expect"] == "PASS"
+    # the statuses a result was built from stay the caller's own
+    statuses = dict.fromkeys(CHECKS, "PASS")
+    built = corpus.EntryResult(r.entry, statuses)
+    statuses["psi"] = "FAIL"
+    assert built.ok and built.statuses["psi"] == "PASS"
+
+
+def test_changing_the_callers_expectations_does_not_reach_the_battery():
+    good = {
+        "efunction": [
+            {"t": "-1/6", "tbar": "-1/6", "coeff": 1},
+            {"t": "1/6", "tbar": "1/6", "coeff": 1},
+        ],
+        "chi": 2,
+    }
+    entry = CorpusEntry("t", "x^3", "Gf", good)
+    line = entry.to_line()
+    good["chi"] = 5
+    good["efunction"][0]["coeff"] = 7
+    good["efunction"].append({"t": "0", "tbar": "0", "coeff": 1})
+    assert run_entry(entry).statuses["expect"] == "PASS"
+    assert entry.to_line() == line
+
+
+def test_expectations_too_deep_to_read_back_fail_only_their_entry():
+    # the deepest nesting an entry can be built with here, read back from
+    # further down the stack, where the JSON reader runs out of frames
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        try:
+            entry = CorpusEntry("deep", "x^3", "Gf", json.loads("[" * depth + "]" * depth))
+            break
+        except RecursionError:
+            continue
+
+    def deeper(k):
+        return deeper(k - 1) if k else run_corpus([entry, CorpusEntry("ok", "x^3", "Gf")])
+
+    deep, ok = deeper(50)
+    assert set(deep.statuses.values()) == {"ERROR"} and "recursion" in deep.error
+    assert ok.ok
 
 
 CHAIN = "x^3*y + y^2*z + z^4"

@@ -56,7 +56,7 @@ def test_equal_generator_lists_give_equal_forms(polys):
         elems = sorted_elements(gf_group(f))
         gens = data.draw(st.lists(st.sampled_from(elems), max_size=3))
         # the same group from a shuffled list padded with sums and the identity
-        extra = [g + h for g in gens for h in gens][:3] + [GroupElement((0,) * f.n)]
+        extra = [ref.add(g, h) for g in gens for h in gens][:3] + [GroupElement(1, (0,) * f.n)]
         other = data.draw(st.permutations(gens + extra))
         G, H = subgroup(f, gens), subgroup(f, other)
         assert G.rows == H.rows
@@ -139,7 +139,7 @@ def test_membership_rejects_foreign_orders_and_lengths():
     f = parse_polynomial("x^3*y + y^2")
     G = gf_group(f)
     assert G.N == 6
-    assert GroupElement((0, 0)) in G
+    assert GroupElement(1, (0, 0)) in G
     assert symmetry.parse_element("1/4(1,2)", 2) not in G  # order 4 does not divide 6
     assert symmetry.parse_element("1/3(1)", 1) not in G
 

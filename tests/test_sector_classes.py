@@ -147,26 +147,19 @@ def test_engines_reject_group_of_another_polynomial():
 # GroupElement against plain Fraction tuples
 
 
-def _comps(n):
-    frac = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
-    return st.lists(frac, min_size=n, max_size=n)
-
-
 @st.composite
 def _element_lists(draw):
+    """Lists of (r, a): an order and n integer numerators, any residues."""
     n = draw(st.integers(0, 3))
-    return draw(st.lists(_comps(n), min_size=1, max_size=6))
-
-
-def _canon(comps):
-    return tuple(c % 1 for c in comps)
+    nums = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    return draw(st.lists(st.tuples(st.integers(1, 12), nums), min_size=1, max_size=6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_element_lists(), st.integers(-6, 6))
-def test_group_element_matches_fraction_tuples(lists, m):
-    gs = [GroupElement(c) for c in lists]
-    canon = [_canon(c) for c in lists]
+@given(_element_lists())
+def test_group_element_matches_fraction_tuples(lists):
+    gs = [GroupElement(r, a) for r, a in lists]
+    canon = [tuple(F(x, r) % 1 for x in a) for r, a in lists]
     for g, c in zip(gs, canon):
         assert g.comps == c
         assert g.n == len(c)
@@ -175,8 +168,6 @@ def test_group_element_matches_fraction_tuples(lists, m):
         assert g.n_fixed == sum(1 for x in c if x == 0)
         assert g.fixed_indices() == tuple(i for i, x in enumerate(c) if x == 0)
         assert g.is_identity == all(x == 0 for x in c)
-        assert (-g).comps == _canon(-x for x in c)
-        assert g.scaled(m).comps == _canon(m * x for x in c)
         text = format_element(g)
         assert parse_element(text, g.n) == g
         assert format_element(parse_element(text, g.n)) == text
@@ -184,8 +175,6 @@ def test_group_element_matches_fraction_tuples(lists, m):
     a, b = canon[0], canon[-1]
     assert (g == h) == (a == b)
     assert len({g, h}) == len({a, b})
-    assert (g + h).comps == _canon(x + y for x, y in zip(a, b))
-    assert (g - h).comps == _canon(x - y for x, y in zip(a, b))
     assert (g < h) == (a < b) and (g <= h) == (a <= b)
     assert (g > h) == (a > b) and (g >= h) == (a >= b)
     assert [x.comps for x in sorted(gs)] == sorted(canon)

@@ -93,17 +93,19 @@ def _sides(f, G):
 
 
 def _locus_inputs(p, H):
-    """(fixed, qsub) of every fixed locus of H, as efunction_series builds them."""
-    q = weights(p).q
-    return [(fixed, tuple(q[i] for i in fixed)) for fixed in locus_ages(H)]
+    """(fixed, wsub, d) of every fixed locus of H, as efunction_series builds
+    them: the weights on the locus as numerators over p's denominator d."""
+    ws = weights(p)
+    return [(fixed, tuple(ws.w[i] for i in fixed), ws.d) for fixed in locus_ages(H)]
 
 
 def _assert_pass_equals_walk(p, H):
     # the walk reads the raw lattice rows, the pass the Hermite-form tests
-    for fixed, qsub in _locus_inputs(p, H):
-        scale, degrees = series_engine._invariant_sector_series(qsub, character_data(H, fixed))
-        assert {F(e, scale): c for e, c in degrees.items()} == (
-            ref.invariant_sector_series(qsub, ref.raw_character_data(H, fixed))
+    for fixed, wsub, d in _locus_inputs(p, H):
+        tests = character_data(H, fixed)
+        scale, degrees = series_engine._invariant_sector_series(wsub, d, tests)
+        assert {F(e, scale): c for e, c in degrees.items()} == ref.invariant_sector_series(
+            tuple(F(x, d) for x in wsub), ref.raw_character_data(H, fixed)
         )
 
 
@@ -149,12 +151,12 @@ def test_constraint_reduction_keeps_the_invariant_characters(fG, dual):
 # work counts: entries the pass holds against what the walk enumerates
 
 
-def _walk_counts(qsub):
+def _walk_counts(wsub, d):
     """Per depth j: the walk's prefixes (c_1, ..., c_j) under the budget, and
     their binomial terms y^(cost + t*scale), t <= #nonzero, under the cut
     top - suffix[j] that the pass applies after j coordinates."""
-    scale = lcm(2, *(q.denominator for q in qsub))
-    qs = [int(q * scale) for q in qsub]
+    scale = lcm(2, d)
+    qs = [x * (scale // d) for x in wsub]
     top = sum(scale - v for v in qs)
     # number of prefixes of each (cost, number of nonzero characters)
     counts = {(0, 0): 1}
@@ -179,7 +181,7 @@ def _walk_counts(qsub):
     return prefixes, terms
 
 
-def _pass_entries(monkeypatch, qsub, chardata):
+def _pass_entries(monkeypatch, wsub, d, chardata):
     """Entries (state, cost) of each partial product the pass builds."""
     sizes = []
     layers = series_engine._layers
@@ -191,7 +193,7 @@ def _pass_entries(monkeypatch, qsub, chardata):
 
     with monkeypatch.context() as mp:
         mp.setattr(series_engine, "_layers", counting)
-        series_engine._invariant_sector_series(qsub, chardata)
+        series_engine._invariant_sector_series(wsub, d, chardata)
     return sizes
 
 
@@ -205,9 +207,9 @@ def test_pass_holds_no_more_than_the_walk(monkeypatch, text):
     f = parse_polynomial(text)
     for spec in GROUPS:
         for p, H in _sides(f, parse_group_spec(f, spec)):
-            for fixed, qsub in _locus_inputs(p, H):
-                held = _pass_entries(monkeypatch, qsub, character_data(H, fixed))
-                prefixes, terms = _walk_counts(qsub)
+            for fixed, wsub, d in _locus_inputs(p, H):
+                held = _pass_entries(monkeypatch, wsub, d, character_data(H, fixed))
+                prefixes, terms = _walk_counts(wsub, d)
                 assert all(h <= t for h, t in zip(held, terms, strict=True))
                 assert sum(held) <= sum(prefixes)
 
@@ -215,12 +217,12 @@ def test_pass_holds_no_more_than_the_walk(monkeypatch, text):
 def test_fermat7_identity_locus_work(monkeypatch):
     # the walk visits 227,694 prefixes on this locus, whatever the group
     f = parse_polynomial("x1^7 + x2^7 + x3^7 + x4^7 + x5^7")
-    qsub = weights(f).q
-    assert sum(_walk_counts(qsub)[0]) == 227694
+    ws = weights(f)
+    assert sum(_walk_counts(ws.w, ws.d)[0]) == 227694
     held = 0
     for spec in GROUPS:
         chardata = character_data(parse_group_spec(f, spec), tuple(range(5)))
-        held += sum(_pass_entries(monkeypatch, qsub, chardata)[1:])
+        held += sum(_pass_entries(monkeypatch, ws.w, ws.d, chardata)[1:])
     assert held <= 1000
 
 
@@ -229,4 +231,5 @@ def test_chain_g0_identity_locus_work(monkeypatch):
     # it the pass would hold 13,081 entries
     f = parse_polynomial("x1^7*x2 + x2^7*x3 + x3^7*x4 + x4^7*x5 + x5^7")
     chardata = character_data(parse_group_spec(f, "G0"), tuple(range(5)))
-    assert sum(_pass_entries(monkeypatch, weights(f).q, chardata)) <= 100
+    ws = weights(f)
+    assert sum(_pass_entries(monkeypatch, ws.w, ws.d, chardata)) <= 100
