@@ -338,6 +338,71 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_08_variance",
         ),
     ),
+    # the duality check compares numerator maps
+    (
+        "duality check with the sign always +1",
+        "efunction.py",
+        "{(-a, b): (-1) ** n * c for",
+        "{(-a, b): c for",
+        (
+            EFUNCTION + "test_check_duality_sign",
+            EFUNCTION + "test_polynomial_arithmetic_equals_the_fraction_oracle",
+            "tests/test_acceptance.py::test_criterion_01_duality",
+        ),
+    ),
+    (
+        "duality check without negating the t-exponent",
+        "efunction.py",
+        "{(-a, b): (-1) ** n * c for",
+        "{(a, b): (-1) ** n * c for",
+        (
+            EFUNCTION + "test_check_duality_sign",
+            EFUNCTION + "test_polynomial_arithmetic_equals_the_fraction_oracle",
+            "tests/test_acceptance.py::test_criterion_01_duality",
+        ),
+    ),
+    # the value types take integers only and order only against their own class
+    (
+        "carriers without the integer guard",
+        "efunction.py",
+        "        if not isinstance(x, int):",
+        "        if False:",
+        ("tests/test_value_types.py::test_value_types_take_only_integers",),
+    ),
+    (
+        "group element order without the class check",
+        "symmetry.py",
+        "        if other.__class__ is not self.__class__:\n"
+        "            return NotImplemented\n"
+        "        r, s = self.r, other.r",
+        "        r, s = self.r, other.r",
+        ("tests/test_value_types.py::test_ordered_values_compare_only_with_their_own_class",),
+    ),
+    # a coefficient warning only for a coefficient the parse keeps ignoring
+    (
+        "coefficient warning before the zero and '*' checks",
+        "invertible.py",
+        "            if value == 0:\n"
+        '                raise NotInvertibleError(f"zero coefficient at position {pos}")\n'
+        """            lex.expect("*", "expected '*' after coefficient")\n"""
+        "            warnings.warn(\n"
+        '                f"coefficient {value} on the monomial at position {pos} is ignored",\n'
+        "                CoefficientWarning,\n"
+        "                stacklevel=2,\n"
+        "            )\n",
+        "            warnings.warn(\n"
+        '                f"coefficient {value} on the monomial at position {pos} is ignored",\n'
+        "                CoefficientWarning,\n"
+        "                stacklevel=2,\n"
+        "            )\n"
+        "            if value == 0:\n"
+        '                raise NotInvertibleError(f"zero coefficient at position {pos}")\n'
+        """            lex.expect("*", "expected '*' after coefficient")\n""",
+        (
+            "tests/test_invertible.py::test_a_coefficient_the_parse_rejects_draws_no_warning",
+            "tests/test_cli.py::test_coefficient_warnings_are_one_line_each_and_main_leaves_no_filter",
+        ),
+    ),
 )
 
 

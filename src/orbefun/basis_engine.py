@@ -327,7 +327,7 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
             top = a + ng * D
             for ell, k in degrees:
                 entries.setdefault((top - ell, a + ell), [0, 0])[odd] += count * k
-    return HodgeTable.from_numerators(f.n, D, {pq: tuple(dims) for pq, dims in entries.items()})
+    return HodgeTable(f.n, D, entries)
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +339,7 @@ def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynom
     once."""
     T = hodge_table(f, G)
     shift = f.n * T.den
-    return BiExpPolynomial.from_numerators(2 * T.den, {
+    return BiExpPolynomial(2 * T.den, {
         (2 * p - shift, 2 * q - shift): de - do for (p, q), (de, do) in T.nums.items()
     })
 

@@ -13,12 +13,15 @@ or G containing the grading operator) a fixed bidegree only ever carries one
 parity, so table and signed E-function determine each other; the
 conversions live here.
 
-All arithmetic, comparison, conversion and the signed moments run on the
-integers.  Fractions appear only at the edges: the constructors that take
-Fraction-keyed maps, the parser, the JSON form, the text forms, `exponents`,
-the values `variance` and `exponent_mean` return, and the read-only
-Fraction views `terms` and `entries`, computed on read.  The engines build
-theirs through `from_numerators`, from integer weights, ages and degrees.
+Each type has one constructor, `BiExpPolynomial(den, nums)` and
+`HodgeTable(n, den, nums)`, which takes integer numerators over a positive
+integer denominator, rejects anything else and stores the canonical form.
+An E-function carries no arithmetic: comparison, conversion and the signed
+moments run on the integers, and `check_duality` compares numerator maps.
+Fractions appear only at the edges: the parser and the JSON reader, which
+put their Fraction-keyed terms over the least common denominator, the text
+forms, `exponents`, the values `variance` and `exponent_mean` return, and
+the read-only Fraction views `terms` and `entries`, computed on read.
 
 Canonical text form: terms sorted lexicographically by exponent pair,
         -1 * t^(-1/6) * tb^(1/6) + 2 * t^(0) * tb^(0)
@@ -39,7 +42,7 @@ above, and from nothing else.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -51,11 +54,21 @@ Term = tuple[Fraction, Fraction]
 Key = tuple[int, int]
 
 
+def _integers(what: str, values: Iterable[object]) -> None:
+    """TypeError unless every value is an int."""
+    for x in values:
+        if not isinstance(x, int):
+            raise TypeError(f"{what} must be integers, got {x!r}")
+
+
 def _canonical(den: int, nums: dict[Key, object]) -> tuple[int, dict[Key, object]]:
     """`den` and `nums` divided by the gcd of `den` and every numerator, so
-    that `den` is the least common denominator of the exponents."""
+    that `den` is the least common denominator of the exponents; TypeError
+    unless `den` and the numerators are integers, ValueError unless `den` is
+    positive."""
+    _integers("denominator and exponent numerators", (den, *(x for key in nums for x in key)))
     if den < 1:
-        raise ValueError(f"denominator {den} is not positive")
+        raise ValueError(f"denominator must be positive, got {den}")
     g = den
     for a, b in nums:
         g = gcd(g, a, b)
@@ -74,6 +87,11 @@ def _over_lcd(keys: Mapping[Term, object]) -> tuple[int, dict[Key, object]]:
         (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)): v
         for (x, y), v in fracs.items()
     }
+
+
+def _fraction_view(den: int, rows: Iterable[tuple[Key, object]]) -> Mapping[Term, object]:
+    """Numerator rows in their order, as a read-only map keyed by Fractions."""
+    return MappingProxyType({(Fraction(a, den), Fraction(b, den)): v for (a, b), v in rows})
 
 
 def _exponent_text(den: int, nums: Mapping[Key, object]) -> dict[int, str]:
@@ -95,61 +113,21 @@ class BiExpPolynomial(_Value):
     __slots__ = _fields = ("den", "nums")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, terms: Mapping[Term, int] | None = None):
-        den, nums = _over_lcd({k: int(c) for k, c in (terms or {}).items() if c})
-        self._set(den, nums)
-
-    @classmethod
-    def from_numerators(cls, den: int, nums: Mapping[Key, int]) -> "BiExpPolynomial":
+    def __init__(self, den: int, nums: Mapping[Key, int]):
         """The polynomial sum c * t^(a/den) * tb^(b/den) over nums (a, b) -> c."""
-        P = cls.__new__(cls)
-        P._set(*_canonical(den, {k: c for k, c in nums.items() if c}))
-        return P
-
-    def _set(self, den: int, nums: dict[Key, int]) -> None:
-        super()._set(den=den, nums=MappingProxyType(nums))
+        _integers("coefficients", nums.values())
+        den, nums = _canonical(den, {k: c for k, c in nums.items() if c})
+        self._set(den=den, nums=MappingProxyType(nums))
 
     @property
     def terms(self) -> Mapping[Term, int]:
         """(t-exponent, tb-exponent) -> coefficient, exponents as Fractions."""
-        return MappingProxyType(dict(self.sorted_terms()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
+        return _fraction_view(self.den, self._sorted_nums())
 
     def _sorted_nums(self) -> list[tuple[Key, int]]:
         # antiholomorphic exponent first: matches the usual weight ordering;
         # over one positive denominator the numerators sort like the exponents
         return sorted(self.nums.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
-    def sorted_terms(self) -> list[tuple[Term, int]]:
-        den = self.den
-        return [((Fraction(a, den), Fraction(b, den)), c) for (a, b), c in self._sorted_nums()]
-
-    def __add__(self, other: "BiExpPolynomial") -> "BiExpPolynomial":
-        den = lcm(self.den, other.den)
-        m, k = den // self.den, den // other.den
-        out = {(a * m, b * m): c for (a, b), c in self.nums.items()}
-        for (a, b), c in other.nums.items():
-            key = (a * k, b * k)
-            out[key] = out.get(key, 0) + c
-        return BiExpPolynomial.from_numerators(den, out)
-
-    def __neg__(self) -> "BiExpPolynomial":
-        return self.scale(-1)
-
-    def __sub__(self, other: "BiExpPolynomial") -> "BiExpPolynomial":
-        return self + (-other)
-
-    def scale(self, c: int) -> "BiExpPolynomial":
-        return BiExpPolynomial.from_numerators(self.den, {k: c * v for k, v in self.nums.items()})
-
-    def invert_t(self) -> "BiExpPolynomial":
-        """Substitute t -> t^(-1), i.e. negate every t-exponent."""
-        return BiExpPolynomial.from_numerators(
-            self.den, {(-a, b): c for (a, b), c in self.nums.items()}
-        )
 
     def chi(self) -> int:
         """Value at t = tb = 1."""
@@ -205,7 +183,7 @@ class BiExpPolynomial(_Value):
                 )
             key = (_json_rational(entry["t"], "t"), _json_rational(entry["tbar"], "tbar"))
             terms[key] = terms.get(key, 0) + _json_int(entry["coeff"], "coeff")
-        return cls(terms)
+        return cls(*_over_lcd(terms))
 
     def __repr__(self) -> str:
         return f"BiExpPolynomial({self.pretty()})"
@@ -259,7 +237,7 @@ def parse_efunction(text: str) -> BiExpPolynomial:
         key, coeff = _term(lex)
         terms[key] = terms.get(key, 0) + sign * coeff
         if lex.accept("end"):
-            return BiExpPolynomial(terms)
+            return BiExpPolynomial(*_over_lcd(terms))
         sign = -1 if lex.accept("-") else 1
         if sign == 1:
             lex.expect("+", "expected '+' or '-' between terms")
@@ -333,40 +311,19 @@ class HodgeTable(_Value):
     __slots__ = _fields = ("n", "den", "nums")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, n: int, entries: Mapping[Term, tuple[int, int]]):
-        den, nums = _over_lcd(
-            {k: (int(de), int(do)) for k, (de, do) in entries.items() if de or do}
-        )
-        self._set(n, den, nums)
-
-    @classmethod
-    def from_numerators(
-        cls, n: int, den: int, nums: Mapping[Key, tuple[int, int]]
-    ) -> "HodgeTable":
-        """The table with (p, q) = (a/den, b/den) -> dims over nums (a, b) -> dims."""
-        T = cls.__new__(cls)
-        T._set(n, *_canonical(den, {k: v for k, v in nums.items() if v[0] or v[1]}))
-        return T
-
-    def _set(self, n: int, den: int, nums: dict[Key, tuple[int, int]]) -> None:
-        super()._set(n=n, den=den, nums=MappingProxyType(nums))
+    def __init__(self, n: int, den: int, nums: Mapping[Key, Sequence[int]]):
+        """The table (p, q) = (a/den, b/den) -> (even, odd) over nums (a, b) -> (even, odd)."""
+        _integers("n and dimensions", (n, *(d for dims in nums.values() for d in dims)))
+        den, nums = _canonical(den, {k: (de, do) for k, (de, do) in nums.items() if de or do})
+        self._set(n=n, den=den, nums=MappingProxyType(nums))
 
     @property
     def entries(self) -> Mapping[Term, tuple[int, int]]:
         """(p, q) -> (even, odd), bidegrees as Fractions."""
-        return MappingProxyType(dict(self.sorted_entries()))
-
-    def sorted_entries(self) -> list[tuple[Term, tuple[int, int]]]:
-        den = self.den
-        rows = sorted(self.nums.items())
-        return [((Fraction(p, den), Fraction(q, den)), v) for (p, q), v in rows]
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(de + do for de, do in self.nums.values())
+        return _fraction_view(self.den, sorted(self.nums.items()))
 
     def __repr__(self) -> str:
-        rows = ", ".join(f"({p},{q}): {v}" for (p, q), v in self.sorted_entries())
+        rows = ", ".join(f"({p},{q}): {v}" for (p, q), v in self.entries.items())
         return f"HodgeTable(n={self.n}, {{{rows}}})"
 
 
@@ -393,7 +350,7 @@ def e_to_hodge(table: HodgeTable, mode: str) -> BiExpPolynomial:
     if mode not in ("SL", "G0"):
         raise ValueError(f"unknown mode {mode!r}")
     den, shift = table.den, table.n * table.den
-    return BiExpPolynomial.from_numerators(2 * den, {
+    return BiExpPolynomial(2 * den, {
         (2 * p - shift, 2 * q - shift): _sign(p + q if mode == "SL" else q - p, den, p, q)
         * (de + do)
         for (p, q), (de, do) in table.nums.items()
@@ -408,7 +365,7 @@ def hodge_from_efunction(P: BiExpPolynomial, n: int) -> HodgeTable:
     The bidegrees e + n/2 are placed over 2*den.
     """
     shift = n * P.den
-    return HodgeTable.from_numerators(n, 2 * P.den, {
+    return HodgeTable(n, 2 * P.den, {
         (2 * a + shift, 2 * b + shift): (c, 0) if c > 0 else (0, -c)
         for (a, b), c in P.nums.items()
     })
@@ -451,4 +408,4 @@ def central_charge(f: InvertiblePolynomial) -> Fraction:
 
 def check_duality(P: BiExpPolynomial, Q: BiExpPolynomial, n: int) -> bool:
     """Whether P(t, tb) = (-1)^n * Q(t^(-1), tb)."""
-    return P == Q.invert_t().scale((-1) ** n)
+    return P.den == Q.den and P.nums == {(-a, b): (-1) ** n * c for (a, b), c in Q.nums.items()}

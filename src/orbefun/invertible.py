@@ -260,14 +260,14 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     while True:
         _, value, pos = lex.peek()
         if lex.accept("int"):
+            if value == 0:
+                raise NotInvertibleError(f"zero coefficient at position {pos}")
+            lex.expect("*", "expected '*' after coefficient")
             warnings.warn(
                 f"coefficient {value} on the monomial at position {pos} is ignored",
                 CoefficientWarning,
                 stacklevel=2,
             )
-            if value == 0:
-                raise NotInvertibleError(f"zero coefficient at position {pos}")
-            lex.expect("*", "expected '*' after coefficient")
         factors: list[tuple[str, int]] = []
         while True:
             name = lex.expect("var", "expected a variable")

@@ -158,4 +158,4 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
             for e, coeff in degrees:
                 key = (prefactor - e, prefactor + e)
                 terms[key] = terms.get(key, 0) + count * coeff
-    return BiExpPolynomial.from_numerators(L, terms)
+    return BiExpPolynomial(L, terms)

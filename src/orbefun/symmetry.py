@@ -51,8 +51,8 @@ Printed generators are the greedy lexicographic choice: each one the least
 element, in Fraction-tuple order, outside the subgroup generated by those
 before it.  Each is a coset minimum, and the Hermite form already holds
 them: they are its rows with pivot below N, last row first.  `elements`
-is enumerated only when read: by `all_subgroups`, the sector list and the
-tests.
+is listed on each read and stored nowhere; `all_subgroups` and the sector
+list read it once per call.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ class GroupElement(_Value):
         return len(self.a)
 
     def __lt__(self, other: "GroupElement") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         r, s = self.r, other.r
         for x, y in zip(self.a, other.a):
             if x * s != y * r:
@@ -243,11 +245,10 @@ class AbelianSubgroup(_Value):
     lattice {a in Z^n : a/N in G} in Hermite normal form (`rows`), N the
     exponent of G_f; equality and hashing read the form."""
 
-    _fields = ("ambient", "N", "rows")
-    __slots__ = (*_fields, "_elements")
+    __slots__ = _fields = ("ambient", "N", "rows")
 
     def __init__(self, ambient: InvertiblePolynomial, N: int, rows: tuple[tuple[int, ...], ...]):
-        self._set(ambient=ambient, N=N, rows=rows, _elements=None)
+        self._set(ambient=ambient, N=N, rows=rows)
 
     @property
     def order(self) -> int:
@@ -272,16 +273,13 @@ class AbelianSubgroup(_Value):
     @property
     def elements(self) -> frozenset[GroupElement]:
         """Every sum of c_j * row_j / N with 0 <= c_j < N/d_j, each element
-        once; listed on first use and kept."""
-        if self._elements is None:
-            N = self.N
-            vecs = [(0,) * len(self.rows)]
-            for j, row in enumerate(self.rows):
-                steps = [[c * x % N for x in row] for c in range(N // row[j])]
-                vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
-            elements = frozenset(GroupElement(N, v) for v in vecs)
-            object.__setattr__(self, "_elements", elements)
-        return self._elements
+        once; listed anew on each read."""
+        N = self.N
+        vecs = [(0,) * len(self.rows)]
+        for j, row in enumerate(self.rows):
+            steps = [[c * x % N for x in row] for c in range(N // row[j])]
+            vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
+        return frozenset(GroupElement(N, v) for v in vecs)
 
     def __contains__(self, g: GroupElement) -> bool:
         if g.n != len(self.rows) or self.N % g.r:

@@ -13,12 +13,13 @@ replacement.  `locus_degree_counts` reads the degrees of each locus's
 invariant monomials off the per-element filter in `sectors`, the oracle for
 the basis engine's per-atom count.
 
-`add`, `scale`, `invert_t`, `e_to_hodge`, `hodge_from_efunction` and
+`scale`, `invert_t`, `e_to_hodge`, `hodge_from_efunction` and
 `signed_moment` are the carrier arithmetic as it ran on Fraction-keyed maps
 before the E-function and the Hodge table were stored as integer
 numerators over one denominator; they take and return plain Fraction-keyed
 dicts, dropping zero coefficients and empty rows as the old constructors
-did.
+did.  `numerators` puts such a dict over its own least common denominator,
+the form the carriers' constructors take.
 
 The oracles read `raw_character_data`, the lattice rows restricted to each
 locus as they stand, and not the Hermite-form tests that both engines read
@@ -158,7 +159,7 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
             key = (age + ng - ell, age + ell)
             de, do = entries.get(key, (0, 0))
             entries[key] = (de + 1 - odd, do + odd)
-    return HodgeTable(f.n, entries)
+    return HodgeTable(f.n, *numerators(entries))
 
 
 def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
@@ -166,7 +167,9 @@ def efunction_basis(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynom
     becomes the term t^(p - n/2) * tb^(q - n/2) with coefficient even - odd."""
     half = Fraction(f.n, 2)
     entries = hodge_table(f, G).entries
-    return BiExpPolynomial({(p - half, q - half): de - do for (p, q), (de, do) in entries.items()})
+    return BiExpPolynomial(
+        *numerators({(p - half, q - half): de - do for (p, q), (de, do) in entries.items()})
+    )
 
 
 def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolynomial:
@@ -187,7 +190,7 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
                 terms[key] = val
             elif key in terms:
                 del terms[key]
-    return BiExpPolynomial(terms)
+    return BiExpPolynomial(*numerators(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +199,16 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
 Term = tuple[Fraction, Fraction]
 
 
+def numerators(keyed: dict) -> tuple[int, dict[tuple[int, int], object]]:
+    """A map keyed by pairs of rationals as (den, map keyed by the integer
+    numerators over den), den the least common denominator of the keys."""
+    fracs = {(Fraction(x), Fraction(y)): v for (x, y), v in keyed.items()}
+    den = lcm(*(e.denominator for key in fracs for e in key))
+    return den, {(int(x * den), int(y * den)): v for (x, y), v in fracs.items()}
+
+
 def _nonzero(terms: dict[Term, int]) -> dict[Term, int]:
     return {k: c for k, c in terms.items() if c}
-
-
-def add(P: dict[Term, int], Q: dict[Term, int]) -> dict[Term, int]:
-    out = dict(P)
-    for k, c in Q.items():
-        out[k] = out.get(k, 0) + c
-    return _nonzero(out)
 
 
 def scale(P: dict[Term, int], c: int) -> dict[Term, int]:

@@ -14,6 +14,8 @@ from orbefun.efunction import BiExpPolynomial, Term
 from orbefun.errors import CoefficientWarning, InputSyntaxError, NotInvertibleError
 from orbefun.invertible import InvertiblePolynomial, from_exponent_matrix
 
+from reference_engines import numerators
+
 
 def _tokenize_polynomial(text: str) -> list[tuple[str, object, int]]:
     toks: list[tuple[str, object, int]] = []
@@ -73,18 +75,17 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
         kind, value, pos = peek()
         term_pos = pos
         if kind == "int":
+            if value == 0:
+                raise NotInvertibleError(f"zero coefficient at position {pos}")
+            k += 1
+            if peek()[0] != "*":
+                raise InputSyntaxError("expected '*' after coefficient", peek()[2])
+            k += 1
             warnings.warn(
                 f"coefficient {value} on the monomial at position {pos} is ignored",
                 CoefficientWarning,
                 stacklevel=2,
             )
-            if value == 0:
-                raise NotInvertibleError(f"zero coefficient at position {pos}")
-            k += 1
-            kind, value, pos = peek()
-            if kind != "*":
-                raise InputSyntaxError("expected '*' after coefficient", pos)
-            k += 1
         factors: list[tuple[str, int]] = []
         while True:
             kind, value, pos = peek()
@@ -281,4 +282,4 @@ def parse_efunction(text: str) -> BiExpPolynomial:
         t, v, pos = peek()
         if t == "end":
             break
-    return BiExpPolynomial(terms)
+    return BiExpPolynomial(*numerators(terms))

@@ -158,8 +158,11 @@ def test_engine_mismatch_names_the_differing_bidegrees(capsys, monkeypatch):
     def one_term_moved(f, G):
         # the term t^(1/3)*tb^(1/3) moved to t^(1/3)*tb^(4/3)
         E = real(f, G)
-        moved = {(1, 1): -1, (1, 4): 1}
-        return E + BiExpPolynomial.from_numerators(3, moved)
+        assert E.den == 3
+        nums = dict(E.nums)
+        nums[1, 1] -= 1
+        nums[1, 4] = nums.get((1, 4), 0) + 1
+        return BiExpPolynomial(3, nums)
 
     monkeypatch.setattr(series_engine, "efunction_series", one_term_moved)
     code, out, err = run(capsys, "efunction", "x^3*y + y^2", "--group", "Gf")
@@ -225,6 +228,10 @@ def test_coefficient_warnings_are_one_line_each_and_main_leaves_no_filter(capsys
         "warning: coefficient 2 on the monomial at position 0 is ignored\n"
         "warning: coefficient 3 on the monomial at position 8 is ignored\n"
     )
+    code, _, err = run(capsys, "info", "0*x^3")
+    assert (code, err) == (3, "error: zero coefficient at position 0\n")
+    code, _, err = run(capsys, "info", "x^3 + 2")
+    assert (code, err) == (2, "error: expected '*' after coefficient (at position 7)\n")
     assert (warnings.filters, warnings.showwarning) == (filters, show)
 
 

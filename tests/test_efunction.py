@@ -31,60 +31,48 @@ def _poly(*terms):
     acc = {}
     for et, etb, c in terms:
         acc[(F(et), F(etb))] = acc.get((F(et), F(etb)), 0) + c
-    return BiExpPolynomial(acc)
+    return BiExpPolynomial(*ref.numerators(acc))
+
+
+def _table(n, entries):
+    return HodgeTable(n, *ref.numerators(entries))
 
 
 def test_zero_coefficients_are_dropped():
     P = _poly((0, 0, 1), (0, 0, -1))
-    assert P.is_zero
+    assert (P.den, P.nums) == (1, {})
     assert P.terms == {}
 
 
 def test_int_fraction_and_mixed_input_build_equal_polynomials():
-    ints = BiExpPolynomial({(1, -2): 3, (0, 0): -1})
-    fracs = BiExpPolynomial({(F(1), F(-2)): 3, (F(0), F(0)): -1})
-    mixed = BiExpPolynomial({(F(2, 2), -2): 3, (0, F(0)): -1})
+    ints = BiExpPolynomial(1, {(1, -2): 3, (0, 0): -1})
+    fracs = BiExpPolynomial(*ref.numerators({(F(1), F(-2)): 3, (F(0), F(0)): -1}))
+    mixed = BiExpPolynomial(*ref.numerators({(F(2, 2), -2): 3, (0, F(0)): -1}))
     assert ints == fracs == mixed
     for P in (ints, fracs, mixed):
         assert all(type(e) is Fraction for key in P.terms for e in key)
         assert all(type(c) is int for c in P.terms.values())
         assert hash(frozenset(P.terms.items())) == hash(frozenset(fracs.terms.items()))
-    P = BiExpPolynomial({(F(1, 3), F(-2, 3)): 5, (F(1, 2), 0): 1, (0, 0): 0})
+    P = _poly((F(1, 3), F(-2, 3), 5), (F(1, 2), 0, 1), (0, 0, 0))
     assert P.den == 6  # the least common denominator of the exponents
     assert P.nums == {(2, -4): 5, (3, 0): 1}
     assert P.terms == {(F(1, 3), F(-2, 3)): 5, (F(1, 2), F(0)): 1}
 
 
 def test_numerators_over_any_denominator_build_the_canonical_polynomial():
-    over_6 = BiExpPolynomial.from_numerators(6, {(3, -3): 2, (6, 0): -1, (2, 2): 0})
-    over_12 = BiExpPolynomial.from_numerators(12, {(6, -6): 2, (12, 0): -1})
-    over_2 = BiExpPolynomial.from_numerators(2, {(1, -1): 2, (2, 0): -1})
+    over_6 = BiExpPolynomial(6, {(3, -3): 2, (6, 0): -1, (2, 2): 0})
+    over_12 = BiExpPolynomial(12, {(6, -6): 2, (12, 0): -1})
+    over_2 = BiExpPolynomial(2, {(1, -1): 2, (2, 0): -1})
     for P in (over_6, over_12):
         assert (P.den, P.nums) == (over_2.den, over_2.nums) == (2, {(1, -1): 2, (2, 0): -1})
-        assert P == over_2 == BiExpPolynomial({(F(1, 2), F(-1, 2)): 2, (1, 0): -1})
+        assert P == over_2 == _poly((F(1, 2), F(-1, 2), 2), (1, 0, -1))
         assert all(type(e) is Fraction for key in P.terms for e in key)
         assert all(type(c) is int for c in P.terms.values())
-    zero = BiExpPolynomial.from_numerators(10, {(5, 5): 0})
-    assert (zero.den, zero.nums) == (1, {}) and zero == BiExpPolynomial()
-    assert BiExpPolynomial.from_numerators(4, {(0, 0): 3}).den == 1
+    zero = BiExpPolynomial(10, {(5, 5): 0})
+    assert (zero.den, zero.nums) == (1, {}) and zero == BiExpPolynomial(1, {})
+    assert BiExpPolynomial(4, {(0, 0): 3}).den == 1
     with pytest.raises(TypeError):
         over_6.nums[(0, 0)] = 1
-
-
-def test_arithmetic():
-    P = _poly((F(1, 2), F(1, 2), 1))
-    Q = _poly((0, 0, 2))
-    s = P + Q
-    assert s.terms == {(F(1, 2), F(1, 2)): 1, (F(0), F(0)): 2}
-    assert (s - s).is_zero
-    assert (-s).terms[(F(1, 2), F(1, 2))] == -1
-    assert s.scale(-3).terms[(F(0), F(0))] == -6
-
-
-def test_invert_t_is_an_involution():
-    P = _poly((F(1, 6), F(-1, 6), -1), (F(-1, 6), F(1, 6), -1))
-    assert P.invert_t().invert_t() == P
-    assert P.invert_t().terms == {(F(-1, 6), F(-1, 6)): -1, (F(1, 6), F(1, 6)): -1}
 
 
 def test_chi_is_signed_coefficient_sum():
@@ -105,7 +93,7 @@ def test_pretty_forms():
         "-(tb/t)^(-1/6) - (tb/t)^(1/6)"
     )
     assert _poly((0, 0, 3)).pretty() == "3"
-    assert BiExpPolynomial({}).pretty() == "0"
+    assert BiExpPolynomial(1, {}).pretty() == "0"
     assert _poly((1, 2, 2)).pretty() == "2*t^(1)*tb^(2)"
 
 
@@ -136,27 +124,27 @@ def test_json_round_trip():
 
 
 def test_hodge_table_drops_empty_rows():
-    T = HodgeTable(2, {(F(1), F(1)): (0, 0), (F(1, 2), F(1, 2)): (1, 0)})
-    assert T.sorted_entries() == [((F(1, 2), F(1, 2)), (1, 0))]
-    assert T.total_dimension == 1
+    T = _table(2, {(F(1), F(1)): (0, 0), (F(1, 2), F(1, 2)): (1, 0)})
+    assert list(T.entries.items()) == [((F(1, 2), F(1, 2)), (1, 0))]
+    assert (T.den, T.nums) == (2, {(1, 1): (1, 0)})
 
 
 def test_hodge_table_is_stored_over_the_least_common_denominator():
-    ints = HodgeTable(2, {(1, 0): (2, 0), (F(1, 2), 1): (0, 1)})
-    fracs = HodgeTable(2, {(F(1), F(0)): (2, 0), (F(1, 2), F(1)): (0, 1)})
-    over_6 = HodgeTable.from_numerators(2, 6, {(6, 0): (2, 0), (3, 6): (0, 1), (1, 1): (0, 0)})
+    ints = _table(2, {(1, 0): (2, 0), (F(1, 2), 1): (0, 1)})
+    fracs = _table(2, {(F(1), F(0)): (2, 0), (F(1, 2), F(1)): (0, 1)})
+    over_6 = HodgeTable(2, 6, {(6, 0): (2, 0), (3, 6): (0, 1), (1, 1): (0, 0)})
     assert ints == fracs == over_6
     for T in (ints, fracs, over_6):
         assert (T.den, T.nums) == (2, {(2, 0): (2, 0), (1, 2): (0, 1)})
         assert all(type(e) is Fraction for key in T.entries for e in key)
         assert all(type(d) is int for dims in T.entries.values() for d in dims)
-    T = HodgeTable(1, {(F(1, 3), F(2, 3)): (1, 0), (F(1, 2), F(1, 2)): (0, 2)})
+    T = _table(1, {(F(1, 3), F(2, 3)): (1, 0), (F(1, 2), F(1, 2)): (0, 2)})
     assert (T.den, T.nums) == (6, {(2, 4): (1, 0), (3, 3): (0, 2)})
-    assert HodgeTable(1, {}).den == 1
+    assert HodgeTable(1, 4, {}).den == 1
 
 
 def test_e_to_hodge_modes():
-    T = HodgeTable(2, {(F(1), F(1)): (4, 0), (F(1, 2), F(1, 2)): (1, 0)})
+    T = _table(2, {(F(1), F(1)): (4, 0), (F(1, 2), F(1, 2)): (1, 0)})
     sl = e_to_hodge(T, "SL")
     assert sl.terms[(F(0), F(0))] == 4
     assert sl.terms[(F(-1, 2), F(-1, 2))] == -1  # (-1)^(p+q) with p+q = 1
@@ -167,12 +155,12 @@ def test_e_to_hodge_modes():
 
 
 def test_e_to_hodge_mode_violation():
-    T = HodgeTable(1, {(F(1, 3), F(2, 3)): (0, 1)})
+    T = _table(1, {(F(1, 3), F(2, 3)): (0, 1)})
     assert e_to_hodge(T, "SL").terms == {(F(-1, 6), F(1, 6)): -1}  # p + q = 1
     with pytest.raises(ModeError):
         e_to_hodge(T, "G0")  # q - p = 1/3
     with pytest.raises(ModeError):
-        e_to_hodge(HodgeTable(1, {(F(1, 3), F(1, 2)): (1, 0)}), "SL")
+        e_to_hodge(_table(1, {(F(1, 3), F(1, 2)): (1, 0)}), "SL")
 
 
 def test_hodge_from_efunction_splits_by_sign():
@@ -209,8 +197,10 @@ def test_exponents_and_variance_example():
 def test_check_duality_sign():
     P = _poly((F(-1, 6), F(-1, 6), 1), (F(1, 6), F(1, 6), 1))
     Q = _poly((F(1, 6), F(-1, 6), 1), (F(-1, 6), F(1, 6), 1))
+    minus_Q = _poly((F(1, 6), F(-1, 6), -1), (F(-1, 6), F(1, 6), -1))
     assert check_duality(P, Q, 1) is False
-    assert check_duality(P, Q.scale(-1), 1) is True
+    assert check_duality(P, minus_Q, 1) is True
+    assert check_duality(P, Q, 2) is True
 
 
 @settings(max_examples=50, deadline=None)
@@ -264,20 +254,18 @@ def _assert_canonical(P, want):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_polys, _polys, st.integers(-3, 3), st.integers(0, 5))
-def test_polynomial_arithmetic_equals_the_fraction_oracle(p, q, c, n):
-    P, Q = BiExpPolynomial(p), BiExpPolynomial(q)
+@given(_polys, _polys, st.integers(0, 5))
+def test_polynomial_arithmetic_equals_the_fraction_oracle(p, q, n):
+    P, Q = BiExpPolynomial(*ref.numerators(p)), BiExpPolynomial(*ref.numerators(q))
     _assert_canonical(P, {k: v for k, v in p.items() if v})
-    _assert_canonical(P + Q, ref.add(p, q))
-    _assert_canonical(P - Q, ref.add(p, ref.scale(q, -1)))
-    _assert_canonical(-P, ref.scale(p, -1))
-    _assert_canonical(P.scale(c), ref.scale(p, c))
-    _assert_canonical(P.invert_t(), ref.invert_t(p))
-    assert P + Q == BiExpPolynomial(ref.add(p, q))
     assert P.chi() == sum(p.values())
     assert check_duality(P, Q, n) == (
         {k: v for k, v in p.items() if v} == ref.scale(ref.invert_t(q), (-1) ** n)
     )
+    # the dual that the oracle builds from P passes
+    dual = ref.scale(ref.invert_t(p), (-1) ** n)
+    assert check_duality(P, BiExpPolynomial(*ref.numerators(dual)), n)
+    assert check_duality(BiExpPolynomial(*ref.numerators(dual)), P, n)
     _assert_canonical(hodge_from_efunction(P, n), ref.hodge_from_efunction(p, n))
 
 
@@ -285,7 +273,7 @@ def test_polynomial_arithmetic_equals_the_fraction_oracle(p, q, c, n):
 @given(_tables())
 def test_table_conversions_and_moments_equal_the_fraction_oracle(table):
     n, rows = table
-    T = HodgeTable(n, rows)
+    T = _table(n, rows)
     rows = {k: v for k, v in rows.items() if v != (0, 0)}
     _assert_canonical(T, rows)
     for mode in ("SL", "G0"):

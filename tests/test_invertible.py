@@ -68,6 +68,15 @@ def test_parse_coefficient_warns_and_is_dropped():
     assert issubclass(caught[0].category, CoefficientWarning)
 
 
+def test_a_coefficient_the_parse_rejects_draws_no_warning():
+    for text, error in (("0*x^3", NotInvertibleError), ("x^3 + 2", InputSyntaxError)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                parse_polynomial(text)
+        assert caught == [], text
+
+
 def test_parse_syntax_errors_carry_positions():
     with pytest.raises(InputSyntaxError) as err:
         parse_polynomial("x^3 +")

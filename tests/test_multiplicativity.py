@@ -45,7 +45,7 @@ def _product(P, Q):
         for (x, y), e in Q.nums.items():
             key = (a * m + x * k, b * m + y * k)
             out[key] = out.get(key, 0) + c * e
-    return BiExpPolynomial.from_numerators(L, out)
+    return BiExpPolynomial(L, out)
 
 
 def _direct_sum(pair1, pair2):

@@ -13,6 +13,7 @@ from orbefun import InputSyntaxError, OrbefunError, parse_group_spec, parse_poly
 from orbefun.corpus import CorpusEntry, default_corpus, format_corpus, parse_corpus, run_entry
 from orbefun.efunction import BiExpPolynomial, parse_efunction
 from orbefun.symmetry import format_element, parse_element
+from reference_engines import numerators
 from strategies import polynomials, symmetric_pairs
 
 # the grammar's alphabet, plus a non-decimal digit, a decimal digit of
@@ -201,7 +202,7 @@ def test_polynomial_text_round_trips(f):
 _EXPONENTS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 _EFUNCTIONS = st.dictionaries(
     st.tuples(_EXPONENTS, _EXPONENTS), st.integers(-5, 5), max_size=6
-).map(BiExpPolynomial)
+).map(lambda terms: BiExpPolynomial(*numerators(terms)))
 
 
 @given(_EFUNCTIONS)

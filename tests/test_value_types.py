@@ -6,6 +6,7 @@ import atexit
 import contextlib
 import gc
 import io
+import operator
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from orbefun.basis_engine import (
 )
 from orbefun.cli import main
 from orbefun.corpus import CorpusEntry, run_entry
+from orbefun.efunction import BiExpPolynomial, HodgeTable
 from orbefun.invertible import Atom, restrict, weights
 from orbefun.symmetry import GroupElement, gf_group, subgroup
 from strategies import polynomials
@@ -47,7 +49,6 @@ def test_equal_values_have_equal_hashes(f):
     _equal_values(restrict(f, range(f.n)), f)
     Gf = gf_group(f)
     H = subgroup(f, Gf.generators)
-    assert H.elements is H.elements  # listed once, and not part of the value
     _equal_values(H, Gf)
 
 
@@ -114,9 +115,11 @@ def test_every_value_type_is_immutable():
             assert getattr(value, name) is before
         with pytest.raises(AttributeError):
             value.extra = 1
-    by_name = {type(v).__name__: v for v in values}
-    with pytest.raises(AttributeError):
-        by_name["AbelianSubgroup"]._elements = frozenset()
+
+
+def test_every_value_type_stores_its_fields_and_nothing_else():
+    for value in _one_of_each_value_type():
+        assert type(value).__slots__ == type(value)._fields, type(value).__name__
 
 
 def _stored(value):
@@ -139,7 +142,6 @@ def test_no_value_type_stores_a_fraction():
     # the Fraction views (q, comps, terms, entries) are computed on read
     values = _one_of_each_value_type()
     by_name = {type(v).__name__: v for v in values}
-    by_name["AbelianSubgroup"].elements  # filled on first use, then stored
     by_name["BiExpPolynomial"].terms, by_name["HodgeTable"].entries
     for value in values:
         stored = list(_stored(value))
@@ -161,6 +163,47 @@ def test_values_compare_only_with_their_own_class():
     for value in unhashable:
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_ordered_values_compare_only_with_their_own_class():
+    g, m = GroupElement(3, (1, 2)), BasisMonomial((1, 0), 3)
+    for value, other in ((g, 1), (g, None), (g, m), (m, 1), (m, None), (m, g)):
+        for op in (operator.lt, operator.gt, operator.le):
+            with pytest.raises(TypeError):
+                op(value, other)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BiExpPolynomial(1, {(0, 0): 1.5}),
+        lambda: BiExpPolynomial(1, {(0, 0): Fraction(3, 2)}),
+        lambda: BiExpPolynomial(1, {(0, 0): Fraction(2)}),
+        lambda: BiExpPolynomial(2, {(1.0, 0): 1}),
+        lambda: BiExpPolynomial(2, {(0, Fraction(1, 2)): 1}),
+        lambda: BiExpPolynomial(2.0, {(1, 0): 1}),
+        lambda: BiExpPolynomial(2.0, {}),
+        lambda: HodgeTable(1, 2, {(1, 1): (1.7, 0)}),
+        lambda: HodgeTable(1, 2, {(1, 1): (1, Fraction(1))}),
+        lambda: HodgeTable(1, 2, {(Fraction(1), 1): (1, 0)}),
+        lambda: HodgeTable(1.0, 2, {(1, 1): (1, 0)}),
+        lambda: HodgeTable(1, Fraction(2), {}),
+        lambda: GroupElement(2, (Fraction(1),)),
+        lambda: GroupElement(2.0, (1,)),
+    ],
+)
+def test_value_types_take_only_integers(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_carriers_take_only_a_positive_denominator():
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            BiExpPolynomial(den, {(1, 0): 1})
+        with pytest.raises(ValueError):
+            HodgeTable(1, den, {(1, 0): (1, 0)})
+    assert (BiExpPolynomial(1, {(0, 0): 3}).nums, HodgeTable(1, 1, {}).den) == ({(0, 0): 3}, 1)
 
 
 def test_basis_monomials_sort_by_exps_then_ell():
