@@ -60,9 +60,23 @@ MUTANTS = (
     (
         "polynomial parser without the x0 check",
         "invertible.py",
-        '        if kind == "var" and name[1:2] == "0":',
-        "        if False:",
+        'if kind == "var" and (name[1:2] == "0" or len(name) > 3):',
+        'if kind == "var" and len(name) > 3:',
         (PARSERS + "test_x0_is_checked_before_parsing", PARSERS + "test_reference_agrees_on_documented_samples"),
+    ),
+    (
+        "polynomial parser without the x99 bound",
+        "invertible.py",
+        'if kind == "var" and (name[1:2] == "0" or len(name) > 3):',
+        'if kind == "var" and name[1:2] == "0":',
+        (PARSERS + "test_a_variable_past_x99_is_one_invalid_name",),
+    ),
+    (
+        "group spec errors placed in the piece, not the spec",
+        "symmetry.py",
+        "parse_element(m.group(), f.n, at=lead + m.start())",
+        "parse_element(m.group(), f.n)",
+        ("tests/test_symmetry.py::test_group_spec_errors_point_into_the_spec",),
     ),
     (
         "polynomial parser stopping at the first monomial",
@@ -96,8 +110,8 @@ MUTANTS = (
     (
         "loop sign in determinant",
         "invertible.py",
-        "prod(atom.a) - ((-1) ** atom.size",
-        "prod(atom.a) + ((-1) ** atom.size",
+        "prod(atom.a) - ((-1) ** len(atom.a)",
+        "prod(atom.a) + ((-1) ** len(atom.a)",
         (SOLVER + "test_interleaved_examples", SOLVER + "test_solver_matches_leibniz_and_adjugate"),
     ),
     (
@@ -224,6 +238,16 @@ MUTANTS = (
         ENGINES,
     ),
     (
+        "Hodge table with the sector parities swapped",
+        "basis_engine.py",
+        "        odd = ng % 2\n",
+        "        odd = (ng + 1) % 2\n",
+        (
+            "tests/test_basis_engine.py::test_hodge_tables_match_hand_computations",
+            "tests/test_acceptance.py::test_criterion_11_mode_signs_name_the_parity",
+        ),
+    ),
+    (
         "spectrum identity reading the lowest degree one unit of 1/d up",
         "basis_engine.py",
         "    lhs = degree_counts(f)\n",
@@ -323,7 +347,6 @@ MUTANTS = (
         (
             EFUNCTION + "test_numerators_over_any_denominator_build_the_canonical_polynomial",
             EFUNCTION + "test_polynomial_arithmetic_equals_the_fraction_oracle",
-            EFUNCTION + "test_round_trip_table_to_efunction",
             "tests/test_acceptance.py::test_criterion_03_golden_values",
         ),
     ),
@@ -334,7 +357,7 @@ MUTANTS = (
         "(2 * q) ** power",
         (
             EFUNCTION + "test_exponents_and_variance_example",
-            EFUNCTION + "test_table_conversions_and_moments_equal_the_fraction_oracle",
+            EFUNCTION + "test_table_and_moments_equal_the_fraction_oracle",
             "tests/test_acceptance.py::test_criterion_08_variance",
         ),
     ),
@@ -365,8 +388,22 @@ MUTANTS = (
     (
         "carriers without the integer guard",
         "efunction.py",
-        "        if not isinstance(x, int):",
+        "        if type(x) is not int:",
         "        if False:",
+        ("tests/test_value_types.py::test_value_types_take_only_integers",),
+    ),
+    (
+        "carriers taking a bool for an integer",
+        "efunction.py",
+        "        if type(x) is not int:",
+        "        if not isinstance(x, int):",
+        ("tests/test_value_types.py::test_value_types_take_only_integers",),
+    ),
+    (
+        "group element order taking a bool for an integer",
+        "symmetry.py",
+        "        if type(r) is not int:",
+        "        if not isinstance(r, int):",
         ("tests/test_value_types.py::test_value_types_take_only_integers",),
     ),
     (

@@ -267,10 +267,6 @@ class SectorContribution(_Value):
     ):
         self._set(g=g, fixed=fixed, monomials=monomials)
 
-    @property
-    def n_fixed(self) -> int:
-        return len(self.fixed)
-
 
 def _invariant_basis(fsub: InvertiblePolynomial, chardata: Tests) -> tuple[BasisMonomial, ...]:
     """The basis monomials k of fsub whose character k + 1 is G-invariant."""
@@ -364,15 +360,8 @@ class PairTable(_Value):
     def __init__(self, rows: Mapping[tuple[GroupElement, GroupElement], int]):
         self._set(rows=MappingProxyType({k: int(v) for k, v in rows.items() if v}))
 
-    def transposed(self) -> "PairTable":
-        return PairTable({(b, a): v for (a, b), v in self.rows.items()})
-
     def sorted_rows(self) -> list[tuple[tuple[GroupElement, GroupElement], int]]:
         return sorted(self.rows.items())
-
-    @property
-    def total(self) -> int:
-        return sum(self.rows.values())
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a}, {b}): {v}" for (a, b), v in self.sorted_rows())
@@ -403,20 +392,6 @@ def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
             key = (sec.g, gt)
             rows[key] = rows.get(key, 0) + 1
     return PairTable(rows)
-
-
-def expected_multiplicity(f: InvertiblePolynomial, g: GroupElement, gt: GroupElement) -> int:
-    """2^r with r the number of even-length loop atoms on which both g and
-    gt act trivially; the predicted value of every pair-table row."""
-    r = 0
-    for atom in f.atoms:
-        if atom.kind != "loop" or atom.size % 2:
-            continue
-        if all(g.a[i] == 0 for i in atom.var_indices) and all(
-            gt.a[i] == 0 for i in atom.var_indices
-        ):
-            r += 1
-    return 2 ** r
 
 
 def psi_structure_ok(f: InvertiblePolynomial) -> bool:

@@ -82,12 +82,6 @@ class CorpusEntry(_Value):
         text = None if expectations is None else json.dumps(expectations, sort_keys=True)
         self._set(name=name, poly=poly, group=group, expectations=text)
 
-    def to_line(self) -> str:
-        base = f"{self.name} ; {self.poly} ; {self.group}"
-        if self.expectations is not None:
-            base += f" ; {self.expectations}"
-        return base
-
 
 class EntryResult(_Value):
     """The status of every check for one entry: PASS, FAIL, "-" (does not
@@ -360,7 +354,3 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         except (ValueError, RecursionError) as exc:
             raise InputSyntaxError(f"corpus line {lineno}: bad expectations JSON: {exc}", 0) from exc
     return entries
-
-
-def format_corpus(entries: Iterable[CorpusEntry]) -> str:
-    return "".join(e.to_line() + "\n" for e in entries)

@@ -8,26 +8,28 @@ numerators, (a, b) -> coefficient for the term t^(a/den) * tb^(b/den).
 the zero polynomial), so two polynomials are equal exactly when their `den`
 and `nums` are.  A HodgeTable records at each rational bidegree (p, q) the
 dimensions of the even and odd parity parts, stored the same way:
-(p*den, q*den) -> (even, odd).  Under either mode assumption (G inside SL,
-or G containing the grading operator) a fixed bidegree only ever carries one
-parity, so table and signed E-function determine each other; the
-conversions live here.
+(p*den, q*den) -> (even, odd).  Under either mode assumption each bidegree
+carries only the parity its sign names, even for +1 and odd for -1:
+(-1)^(p+q) for G inside SL, (-1)^(q-p) for G containing the grading
+operator.  The E-function's coefficient there, even - odd, is then the
+dimension under that sign.
 
 Each type has one constructor, `BiExpPolynomial(den, nums)` and
-`HodgeTable(n, den, nums)`, which takes integer numerators over a positive
-integer denominator, rejects anything else and stores the canonical form.
-An E-function carries no arithmetic: comparison, conversion and the signed
-moments run on the integers, and `check_duality` compares numerator maps.
-Fractions appear only at the edges: the parser and the JSON reader, which
-put their Fraction-keyed terms over the least common denominator, the text
-forms, `exponents`, the values `variance` and `exponent_mean` return, and
-the read-only Fraction views `terms` and `entries`, computed on read.
+`HodgeTable(n, den, nums)`, which takes integer numerators (not bools) over
+a positive integer denominator, rejects anything else and stores the
+canonical form.  An E-function carries no arithmetic: comparison and the
+signed moments run on the integers, and `check_duality` compares numerator
+maps.  Fractions appear only at the edges: the parser and the JSON reader,
+which put their Fraction-keyed terms over the least common denominator, the
+text form, `exponents`, the values `variance` and `exponent_mean` return,
+and the read-only Fraction views `terms` and `entries`, computed on read.
 
-Canonical text form: terms sorted lexicographically by exponent pair,
-        -1 * t^(-1/6) * tb^(1/6) + 2 * t^(0) * tb^(0)
-with a grouped "pretty" rendering  (t*tb)^(e) / (tb/t)^(e)  when exponents
-allow.  Both render back through `parse_efunction`, which reads with the
-polynomial parser's `_Lexer` (whitespace insignificant, int := decimal digits):
+Text form (`pretty`): terms sorted by tb-exponent, then t-exponent, grouped
+as (t*tb)^(e) or (tb/t)^(e) where the exponents allow, such as
+-(tb/t)^(-1/6) - (tb/t)^(1/6).
+`parse_efunction` reads it back, and any outside text in the grammar below,
+with the polynomial parser's `_Lexer` (whitespace insignificant,
+int := decimal digits):
 
     expr := ['-'] term (('+' | '-') term)*
     term := int | [int '*'] base ['^' exp] ('*' base ['^' exp])*
@@ -55,9 +57,9 @@ Key = tuple[int, int]
 
 
 def _integers(what: str, values: Iterable[object]) -> None:
-    """TypeError unless every value is an int."""
+    """TypeError unless every value is an int; a bool is not."""
     for x in values:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise TypeError(f"{what} must be integers, got {x!r}")
 
 
@@ -135,16 +137,6 @@ class BiExpPolynomial(_Value):
 
     # -- text and JSON forms
 
-    def to_text(self) -> str:
-        if not self.nums:
-            return "0"
-        text = _exponent_text(self.den, self.nums)
-        parts = []
-        for i, ((a, b), c) in enumerate(self._sorted_nums()):
-            body = f"{abs(c)} * t^({text[a]}) * tb^({text[b]})"
-            parts.append(_joined(i, c, body))
-        return "".join(parts)
-
     def pretty(self) -> str:
         if not self.nums:
             return "0"
@@ -221,7 +213,7 @@ def _joined(i: int, coeff: int, body: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing (accepts both the canonical and the grouped pretty form)
+# parsing
 
 
 _EFUNCTION_GRAMMAR = _grammar("+-*/^()", tb="tb", t="t")
@@ -337,38 +329,6 @@ def _sign(s: int, den: int, p: int, q: int) -> int:
             f"({Fraction(p, den)},{Fraction(q, den)}) is not an integer"
         )
     return -1 if k % 2 else 1
-
-
-def e_to_hodge(table: HodgeTable, mode: str) -> BiExpPolynomial:
-    """Signed generating function of a Hodge table.
-
-    mode 'SL' uses sign (-1)^(p+q), mode 'G0' uses (-1)^(q-p); the relevant
-    exponent must be an integer on every populated bidegree, otherwise the
-    table does not satisfy the mode assumption and ModeError is raised.
-    The exponents p - n/2, q - n/2 are placed over 2*den.
-    """
-    if mode not in ("SL", "G0"):
-        raise ValueError(f"unknown mode {mode!r}")
-    den, shift = table.den, table.n * table.den
-    return BiExpPolynomial(2 * den, {
-        (2 * p - shift, 2 * q - shift): _sign(p + q if mode == "SL" else q - p, den, p, q)
-        * (de + do)
-        for (p, q), (de, do) in table.nums.items()
-    })
-
-
-def hodge_from_efunction(P: BiExpPolynomial, n: int) -> HodgeTable:
-    """Recover the Hodge table from a signed E-function.
-
-    Valid under either mode assumption, where no bidegree mixes parities:
-    positive coefficients are even-part dimensions, negative ones odd-part.
-    The bidegrees e + n/2 are placed over 2*den.
-    """
-    shift = n * P.den
-    return HodgeTable(n, 2 * P.den, {
-        (2 * a + shift, 2 * b + shift): (c, 0) if c > 0 else (0, -c)
-        for (a, b), c in P.nums.items()
-    })
 
 
 def exponents(table: HodgeTable) -> tuple[Fraction, ...]:

@@ -122,14 +122,6 @@ class Atom(_Value):
             )
         self._set(kind=kind, var_indices=var_indices, a=a)
 
-    @property
-    def size(self) -> int:
-        return len(self.a)
-
-    @property
-    def is_fermat(self) -> bool:
-        return self.kind == "chain" and len(self.a) == 1
-
 
 class WeightSystem(_Value):
     """Weights q with E*q = (1,...,1)^T: q_i = w_i/d, d the least common denominator."""
@@ -241,7 +233,7 @@ def _grammar(ops: str, **words: str) -> re.Pattern[str]:
     return re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in alternatives.items()))
 
 
-_POLYNOMIAL_GRAMMAR = _grammar("+*^", var=r"x\d{1,2}|[wxyz]")
+_POLYNOMIAL_GRAMMAR = _grammar("+*^", var=r"x\d+|[wxyz]")
 
 
 def parse_polynomial(text: str) -> InvertiblePolynomial:
@@ -253,7 +245,7 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     """
     lex = _Lexer(_POLYNOMIAL_GRAMMAR, text, "empty polynomial")
     for kind, name, pos in lex.tokens:
-        if kind == "var" and name[1:2] == "0":
+        if kind == "var" and (name[1:2] == "0" or len(name) > 3):  # x1 ... x99 only
             raise InputSyntaxError(f"invalid variable {name!r}", pos)
 
     terms: list[list[tuple[str, int]]] = []
@@ -413,7 +405,7 @@ def determinant(f: InvertiblePolynomial) -> int:
     """det E, atom by atom: prod(a) for a chain, prod(a) - (-1)^m for a loop of length m."""
     d = 1
     for atom in f.atoms:
-        d *= prod(atom.a) - ((-1) ** atom.size if atom.kind == "loop" else 0)
+        d *= prod(atom.a) - ((-1) ** len(atom.a) if atom.kind == "loop" else 0)
     return d
 
 

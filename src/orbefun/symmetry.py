@@ -81,7 +81,7 @@ class GroupElement(_Value):
     __slots__ = _fields = ("r", "a")
 
     def __init__(self, r: int, a: Iterable[int]):
-        if not isinstance(r, int):
+        if type(r) is not int:  # a bool is not an order
             raise TypeError(f"group element order must be an integer, got {r!r}")
         if r < 1:
             raise ValueError(f"group element order must be positive, got {r}")
@@ -124,16 +124,8 @@ class GroupElement(_Value):
     def is_identity(self) -> bool:
         return self.r == 1
 
-    @property
-    def order(self) -> int:
-        return self.r
-
     def __str__(self) -> str:
         return format_element(self)
-
-
-def identity(n: int) -> GroupElement:
-    return GroupElement(1, (0,) * n)
 
 
 def is_in_sl(g: GroupElement) -> bool:
@@ -431,27 +423,28 @@ _GENERATOR = r"1\s*/\s*\d+\s*\([^()]*\)"
 _GENERATOR_LIST_RE = re.compile(rf"{_GENERATOR}(?:\s*,?\s*{_GENERATOR})*")
 
 
-def parse_element(text: str, n: int) -> GroupElement:
-    """Read '1/r(a1,...,an)'; r and every a_i are decimal digits."""
+def parse_element(text: str, n: int, *, at: int = 0) -> GroupElement:
+    """Read '1/r(a1,...,an)'; r and every a_i are decimal digits.  Error
+    positions count from `at`, the offset of `text` in a longer spec."""
     m = _ELEMENT_RE.match(text)
     if not m:
-        raise InputSyntaxError(f"expected an element of the form 1/r(a1,...,an): {text!r}", 0)
+        raise InputSyntaxError(f"expected an element of the form 1/r(a1,...,an): {text!r}", at)
     try:
         r = int(m.group(1))
     except ValueError:  # beyond the interpreter's digit limit
-        raise InputSyntaxError("denominator too long", text.index("/") + 1) from None
+        raise InputSyntaxError("denominator too long", at + text.index("/") + 1) from None
     if r < 1:
-        raise InputSyntaxError("denominator must be positive", text.index("/") + 1)
+        raise InputSyntaxError("denominator must be positive", at + text.index("/") + 1)
     body = m.group(2)
     parts = [p.strip() for p in body.split(",")] if body.strip() else []
     if len(parts) != n:
         raise DomainError(f"element {text.strip()!r} has {len(parts)} components, expected {n}")
     if not all(p.isdecimal() for p in parts):  # int() alone takes signs and '_'
-        raise InputSyntaxError(f"invalid component in {text!r}", 0)
+        raise InputSyntaxError(f"invalid component in {text!r}", at)
     try:
         nums = [int(p) for p in parts]
     except ValueError:  # beyond the interpreter's digit limit
-        raise InputSyntaxError("component too long", text.index("(") + 1) from None
+        raise InputSyntaxError("component too long", at + text.index("(") + 1) from None
     return GroupElement(r, nums)
 
 
@@ -474,8 +467,9 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
         raise InputSyntaxError(
             f"invalid group spec {spec!r}: expected trivial|Gf|G0|SL or generators 1/r(a1,...,an)", 0
         )
-    pieces = re.findall(_GENERATOR, s)
-    return subgroup(f, tuple(parse_element(p, f.n) for p in pieces))
+    lead = len(spec) - len(spec.lstrip())
+    pieces = re.finditer(_GENERATOR, s)
+    return subgroup(f, tuple(parse_element(m.group(), f.n, at=lead + m.start()) for m in pieces))
 
 
 # ---------------------------------------------------------------------------

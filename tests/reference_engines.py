@@ -13,12 +13,14 @@ replacement.  `locus_degree_counts` reads the degrees of each locus's
 invariant monomials off the per-element filter in `sectors`, the oracle for
 the basis engine's per-atom count.
 
-`scale`, `invert_t`, `e_to_hodge`, `hodge_from_efunction` and
-`signed_moment` are the carrier arithmetic as it ran on Fraction-keyed maps
-before the E-function and the Hodge table were stored as integer
-numerators over one denominator; they take and return plain Fraction-keyed
-dicts, dropping zero coefficients and empty rows as the old constructors
-did.  `numerators` puts such a dict over its own least common denominator,
+`expected_multiplicity` is the predicted value of every pair-table row,
+which the pair tables are checked against.
+
+`scale`, `invert_t` and `signed_moment` are the carrier arithmetic as it
+ran on Fraction-keyed maps before the E-function and the Hodge table were
+stored as integer numerators over one denominator; they take and return
+plain Fraction-keyed dicts, dropping zero coefficients as the old
+constructors did.  `numerators` puts such a dict over its own least common denominator,
 the form the carriers' constructors take.
 
 The oracles read `raw_character_data`, the lattice rows restricted to each
@@ -35,7 +37,7 @@ from orbefun.basis_engine import SectorContribution, milnor_basis
 from orbefun.efunction import BiExpPolynomial, HodgeTable
 from orbefun.errors import ModeError
 from orbefun.invertible import InvertiblePolynomial, restrict, weights
-from orbefun.symmetry import AbelianSubgroup, character_invariant, sorted_elements
+from orbefun.symmetry import AbelianSubgroup, GroupElement, character_invariant, sorted_elements
 
 
 def raw_character_data(
@@ -152,7 +154,7 @@ def hodge_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> HodgeTable:
     """Bigraded dimensions split by sector parity (even = n_g even)."""
     entries: dict[tuple[Fraction, Fraction], tuple[int, int]] = {}
     for sec in sectors(f, G):
-        ng = sec.n_fixed
+        ng = len(sec.fixed)
         odd = ng % 2
         age = sec.g.age
         for ell in _degrees(f, sec):
@@ -193,6 +195,20 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
     return BiExpPolynomial(*numerators(terms))
 
 
+def expected_multiplicity(f: InvertiblePolynomial, g: GroupElement, gt: GroupElement) -> int:
+    """2^r with r the number of even-length loop atoms on which both g and
+    gt act trivially; the predicted value of every pair-table row."""
+    r = 0
+    for atom in f.atoms:
+        if atom.kind != "loop" or len(atom.a) % 2:
+            continue
+        if all(g.a[i] == 0 for i in atom.var_indices) and all(
+            gt.a[i] == 0 for i in atom.var_indices
+        ):
+            r += 1
+    return 2 ** r
+
+
 # ---------------------------------------------------------------------------
 # the carrier arithmetic on Fraction keys
 
@@ -218,33 +234,6 @@ def scale(P: dict[Term, int], c: int) -> dict[Term, int]:
 def invert_t(P: dict[Term, int]) -> dict[Term, int]:
     """Substitute t -> t^(-1), i.e. negate every t-exponent."""
     return _nonzero({(-et, etb): c for (et, etb), c in P.items()})
-
-
-def e_to_hodge(n: int, entries: dict[Term, tuple[int, int]], mode: str) -> dict[Term, int]:
-    """Signed generating function of a Hodge table ((-1)^(p+q) for 'SL',
-    (-1)^(q-p) for 'G0'); ModeError where that exponent is not an integer."""
-    if mode not in ("SL", "G0"):
-        raise ValueError(f"unknown mode {mode!r}")
-    half = Fraction(n, 2)
-    terms: dict[Term, int] = {}
-    for (p, q), (de, do) in entries.items():
-        s = p + q if mode == "SL" else q - p
-        if s.denominator != 1:
-            raise ModeError(f"sign exponent {s} at bidegree ({p},{q}) is not an integer")
-        sign = -1 if int(s) % 2 else 1
-        key = (p - half, q - half)
-        terms[key] = terms.get(key, 0) + sign * (de + do)
-    return _nonzero(terms)
-
-
-def hodge_from_efunction(P: dict[Term, int], n: int) -> dict[Term, tuple[int, int]]:
-    """Positive coefficients as even-part dimensions, negative as odd-part."""
-    half = Fraction(n, 2)
-    entries: dict[Term, tuple[int, int]] = {}
-    for (et, etb), c in P.items():
-        pq = (et + half, etb + half)
-        entries[pq] = (c, 0) if c > 0 else (0, -c)
-    return {k: v for k, v in entries.items() if v[0] or v[1]}
 
 
 def signed_moment(n: int, entries: dict[Term, tuple[int, int]], power: int) -> Fraction:

@@ -9,6 +9,8 @@ package's lattice forms are checked against them on small groups.
 Elements are added through their Fraction view (`add`), with the oracle's
 own arithmetic: the package's elements have no arithmetic of their own.
 
+`identity(n)` is the identity element of (Q/Z)^n, `GroupElement(1, 0...0)`.
+
 `solve` is the atom-by-atom solver as it ran in Fraction arithmetic before
 it was rewritten in integer numerators over det E; the integer solver is
 checked against it.  `exponent_inverse` is E^(-1) from the integer solver,
@@ -22,7 +24,11 @@ from typing import Sequence
 
 from orbefun import VerificationError, transpose
 from orbefun.invertible import InvertiblePolynomial, _solve
-from orbefun.symmetry import GroupElement, identity, is_in_sl, pairing
+from orbefun.symmetry import GroupElement, is_in_sl, pairing
+
+
+def identity(n: int) -> GroupElement:
+    return GroupElement(1, (0,) * n)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Acceptance battery: ten exact checks over the bundled corpus.
+"""Acceptance battery: eleven exact checks over the bundled corpus.
 
 Each test prints one [PASS]/[FAIL] line (visible with -s); every comparison
 is exact rational arithmetic, tolerance zero.
@@ -18,7 +18,6 @@ from orbefun import (
     transpose,
 )
 from orbefun.basis_engine import (
-    expected_multiplicity,
     hodge_table,
     milnor_basis,
     pair_table,
@@ -35,6 +34,7 @@ from orbefun.symmetry import (
     sl_subgroup,
     sorted_elements,
 )
+from reference_engines import expected_multiplicity
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ def test_criterion_09_pair_table_symmetry(corpus):
     for name, f, G in corpus:
         T = pair_table(f, G)
         Td = pair_table(transpose(f), dual_group(f, G))
-        if Td != T.transposed():
+        if Td.rows != {(b, a): v for (a, b), v in T.rows.items()}:
             failures.append(name)
         for (g, gt), m in T.rows.items():
             if (-1) ** g.n_fixed != (-1) ** (f.n - gt.n_fixed):
@@ -189,3 +189,27 @@ def test_criterion_10_counting(corpus):
         if degrees != mirrored:
             failures.append((f.to_text(), "palindrome"))
     _report(10, "basis size equals weight product; degrees palindromic", failures)
+
+
+def test_criterion_11_mode_signs_name_the_parity(corpus):
+    """Where g0 is in G, each Hodge-table entry has only the parity that
+    (-1)^(q-p) names (even for +1, odd for -1); where G lies in SL, the one
+    that (-1)^(p+q) names.  So the signed E-function, whose coefficients are
+    even - odd, carries the table's dimensions under that sign."""
+    failures = []
+    checked = {"G0": 0, "SL": 0}
+    for name, f, G in corpus:
+        modes = []
+        if grading_operator(f) in G:
+            modes.append(("G0", lambda p, q: q - p))
+        if all(is_in_sl(g) for g in G.generators):
+            modes.append(("SL", lambda p, q: p + q))
+        T = hodge_table(f, G)
+        for mode, exponent in modes:
+            checked[mode] += 1
+            for (p, q), (de, do) in T.nums.items():
+                k, r = divmod(exponent(p, q), T.den)
+                if r or (do if k % 2 == 0 else de):
+                    failures.append((name, mode, (p, q)))
+    assert checked == {"G0": 28, "SL": 28}
+    _report(11, "the mode's sign names each bidegree's parity", failures)

@@ -14,10 +14,8 @@ from orbefun.efunction import (
     BiExpPolynomial,
     HodgeTable,
     central_charge,
-    e_to_hodge,
     exponent_mean,
     exponents,
-    hodge_from_efunction,
     parse_efunction,
     variance,
 )
@@ -80,11 +78,6 @@ def test_chi_is_signed_coefficient_sum():
     assert P.chi() == 6
 
 
-def test_to_text_canonical_form():
-    P = _poly((F(1, 6), F(-1, 6), -1), (F(-1, 6), F(1, 6), -1))
-    assert P.to_text() == "-1 * t^(1/6) * tb^(-1/6) - 1 * t^(-1/6) * tb^(1/6)"
-
-
 def test_pretty_forms():
     assert _poly((F(-1, 6), F(-1, 6), 1), (F(1, 6), F(1, 6), 1)).pretty() == (
         "(t*tb)^(-1/6) + (t*tb)^(1/6)"
@@ -107,7 +100,6 @@ def test_parse_round_trips():
     )
     for text in samples:
         P = parse_efunction(text)
-        assert parse_efunction(P.to_text()) == P
         assert parse_efunction(P.pretty()) == P
 
 
@@ -141,45 +133,6 @@ def test_hodge_table_is_stored_over_the_least_common_denominator():
     T = _table(1, {(F(1, 3), F(2, 3)): (1, 0), (F(1, 2), F(1, 2)): (0, 2)})
     assert (T.den, T.nums) == (6, {(2, 4): (1, 0), (3, 3): (0, 2)})
     assert HodgeTable(1, 4, {}).den == 1
-
-
-def test_e_to_hodge_modes():
-    T = _table(2, {(F(1), F(1)): (4, 0), (F(1, 2), F(1, 2)): (1, 0)})
-    sl = e_to_hodge(T, "SL")
-    assert sl.terms[(F(0), F(0))] == 4
-    assert sl.terms[(F(-1, 2), F(-1, 2))] == -1  # (-1)^(p+q) with p+q = 1
-    g0 = e_to_hodge(T, "G0")
-    assert g0.terms[(F(-1, 2), F(-1, 2))] == 1  # q - p = 0
-    with pytest.raises(ValueError):
-        e_to_hodge(T, "nope")
-
-
-def test_e_to_hodge_mode_violation():
-    T = _table(1, {(F(1, 3), F(2, 3)): (0, 1)})
-    assert e_to_hodge(T, "SL").terms == {(F(-1, 6), F(1, 6)): -1}  # p + q = 1
-    with pytest.raises(ModeError):
-        e_to_hodge(T, "G0")  # q - p = 1/3
-    with pytest.raises(ModeError):
-        e_to_hodge(_table(1, {(F(1, 3), F(1, 2)): (1, 0)}), "SL")
-
-
-def test_hodge_from_efunction_splits_by_sign():
-    P = _poly((F(-1, 6), F(1, 6), -1), (0, 0, 2))
-    T = hodge_from_efunction(P, 1)
-    assert T.entries[(F(1, 3), F(2, 3))] == (0, 1)
-    assert T.entries[(F(1, 2), F(1, 2))] == (2, 0)
-
-
-def test_round_trip_table_to_efunction():
-    f = parse_polynomial("x^4 + y^4")
-    from orbefun import efunction_basis
-    from orbefun.basis_engine import hodge_table
-    from orbefun.symmetry import gf_group
-
-    G = gf_group(f)
-    T = hodge_table(f, G)
-    assert e_to_hodge(T, "G0") == efunction_basis(f, G)
-    assert hodge_from_efunction(efunction_basis(f, G), f.n) == T
 
 
 def test_exponents_and_variance_example():
@@ -216,7 +169,6 @@ def test_check_duality_sign():
 )
 def test_text_and_json_round_trip_everything(terms):
     P = _poly(*terms)
-    assert parse_efunction(P.to_text()) == P
     assert parse_efunction(P.pretty()) == P
     assert BiExpPolynomial.from_json_obj(P.to_json_obj()) == P
 
@@ -266,24 +218,15 @@ def test_polynomial_arithmetic_equals_the_fraction_oracle(p, q, n):
     dual = ref.scale(ref.invert_t(p), (-1) ** n)
     assert check_duality(P, BiExpPolynomial(*ref.numerators(dual)), n)
     assert check_duality(BiExpPolynomial(*ref.numerators(dual)), P, n)
-    _assert_canonical(hodge_from_efunction(P, n), ref.hodge_from_efunction(p, n))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_tables())
-def test_table_conversions_and_moments_equal_the_fraction_oracle(table):
+def test_table_and_moments_equal_the_fraction_oracle(table):
     n, rows = table
     T = _table(n, rows)
     rows = {k: v for k, v in rows.items() if v != (0, 0)}
     _assert_canonical(T, rows)
-    for mode in ("SL", "G0"):
-        try:
-            want = ref.e_to_hodge(n, rows, mode)
-        except ModeError as exc:
-            with pytest.raises(ModeError, match=re.escape(str(exc))):
-                e_to_hodge(T, mode)
-        else:
-            _assert_canonical(e_to_hodge(T, mode), want)
     for power, moment in ((1, exponent_mean), (2, variance)):
         try:
             want = ref.signed_moment(n, rows, power)

@@ -37,7 +37,7 @@ def test_parse_chain():
 
 def test_parse_fermat_and_loop():
     f = parse_polynomial("x^3")
-    assert f.atoms[0].is_fermat
+    assert [(a.kind, a.a) for a in f.atoms] == [("chain", (3,))]
     g = parse_polynomial("x^2*y + y^2*z + z^2*x")
     assert [(a.kind, a.a) for a in g.atoms] == [("loop", (2, 2, 2))]
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -34,17 +35,17 @@ ERRORS = (
     "VerificationError",
 )
 
-# the other 50 names the top level used to re-export, by the module that defines them
+# the other 45 names the top level used to re-export, by the module that defines them
 MOVED = {
     "basis_engine": (
-        "PairTable SectorContribution atom_basis degree_counts expected_multiplicity "
+        "PairTable SectorContribution atom_basis degree_counts "
         "hodge_table milnor_basis pair_table psi psi_structure_ok sectors "
         "spectrum_identity_holds"
     ),
-    "corpus": "CorpusEntry EntryResult default_corpus format_corpus parse_corpus run_corpus run_entry",
+    "corpus": "CorpusEntry EntryResult default_corpus parse_corpus run_corpus run_entry",
     "efunction": (
-        "BiExpPolynomial HodgeTable central_charge e_to_hodge exponent_mean exponents "
-        "hodge_from_efunction parse_efunction variance"
+        "BiExpPolynomial HodgeTable central_charge exponent_mean exponents "
+        "parse_efunction variance"
     ),
     "invertible": (
         "Atom InvertiblePolynomial WeightSystem atom_polynomial determinant "
@@ -52,7 +53,7 @@ MOVED = {
     ),
     "symmetry": (
         "AbelianSubgroup GroupElement all_subgroups format_element gf_group "
-        "grading_operator grading_subgroup identity is_in_sl pairing parse_element "
+        "grading_operator grading_subgroup is_in_sl pairing parse_element "
         "sl_subgroup subgroup"
     ),
 }
@@ -72,6 +73,40 @@ def test_dropped_name_resolves_from_its_module(module, name):
     obj = getattr(importlib.import_module(f"orbefun.{module}"), name)
     assert obj.__module__ == f"orbefun.{module}"
     assert not hasattr(orbefun, name)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _code_names(path):
+    """The names a Python file reads: its NAME tokens, leaving out comments,
+    strings and the name that follows `def` or `class`."""
+    out, prev = set(), None
+    with tokenize.open(path) as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME and prev not in ("def", "class"):
+                out.add(tok.string)
+            if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+                prev = tok.string
+    return out
+
+
+def _readers():
+    """Every name read outside the tests: in the code of src/ and perfbench/,
+    and in the inline code and code blocks of README.md."""
+    names = set()
+    for path in (*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")):
+        names |= _code_names(path)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"```.*?```|`[^`]+`", readme, re.S):
+        names.update(re.findall(r"\w+", code))
+    return names
+
+
+def test_every_moved_name_has_a_reader_outside_the_tests():
+    readers = _readers()
+    alone = [name for names in MOVED.values() for name in names.split() if name not in readers]
+    assert alone == []
 
 
 def test_readme_library_sketch_runs():

@@ -164,7 +164,7 @@ def test_group_element_matches_fraction_tuples(lists):
         assert g.comps == c
         assert g.n == len(c)
         assert g.age == sum(c, F(0))
-        assert g.order == lcm(*(x.denominator for x in c))
+        assert g.r == lcm(*(x.denominator for x in c))
         assert g.n_fixed == sum(1 for x in c if x == 0)
         assert g.fixed_indices() == tuple(i for i, x in enumerate(c) if x == 0)
         assert g.is_identity == all(x == 0 for x in c)

