@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Run a fixed ladder of orbefun CLI invocations and record every result.
 
-    python scripts/cli_ladder.py OUT [DIGESTS]
+    python scripts/cli_ladder.py OUT > DIGESTS
 
 Each invocation is a fresh `python -m orbefun`, importing the package from
 the `src/` of the checkout this script sits in, with PYTHONHASHSEED=0.  OUT
 receives, for every invocation in a fixed order, the command, its exit code,
 its stdout and its stderr.  Two checkouts behave identically on the ladder
 exactly when their files are byte-identical, so comparing them is one `cmp`.
-DIGESTS, if given, receives one line per invocation: the sha256 of its
-record in OUT and the command.  `tests/ladder.sha256` is that file; the
-tier-1 test `tests/test_ladder.py` runs the ladder in process and checks it.
+Standard output receives one line per invocation, the sha256 of its record
+in OUT and the command, and standard error the count.  `tests/ladder.sha256`
+holds those lines; the tier-1 test `tests/test_ladder.py` runs the ladder in
+process and checks every record against its line.
 
 The ladder: each polynomial below with `info`, and with every command in
 COMMANDS under every group in GROUPS, each in text and JSON; for every
@@ -97,17 +98,17 @@ def record(args: tuple[str, ...], code: int, stdout: bytes, stderr: bytes) -> by
 
 
 def digest_line(args: tuple[str, ...], entry: bytes) -> str:
-    """One invocation's line in DIGESTS."""
+    """One invocation's line on standard output."""
     return f"{hashlib.sha256(entry).hexdigest()}  {shlex.join(args)}\n"
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print("usage: cli_ladder.py OUT [DIGESTS]", file=sys.stderr)
+    if len(argv) != 1:
+        print("usage: cli_ladder.py OUT", file=sys.stderr)
         return 1
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    lines = []
+    count = 0
     with open(argv[0], "wb") as out:
         for args in ladder():
             proc = subprocess.run(
@@ -115,10 +116,9 @@ def main(argv: list[str]) -> int:
             )
             entry = record(args, proc.returncode, proc.stdout, proc.stderr)
             out.write(entry)
-            lines.append(digest_line(args, entry))
-    if len(argv) == 2:
-        Path(argv[1]).write_text("".join(lines), encoding="utf-8")
-    print(f"{len(lines)} invocations written to {argv[0]}")
+            sys.stdout.write(digest_line(args, entry))
+            count += 1
+    print(f"{count} invocations written to {argv[0]}", file=sys.stderr)
     return 0
 
 

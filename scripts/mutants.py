@@ -49,7 +49,7 @@ ENGINES = (
 )
 
 MUTANTS = (
-    # the parsers: the shared lexer, the polynomial and the E-function grammar
+    # the parsers: the polynomial lexer and grammar, and the group spec
     (
         "lexer without the integer-too-long guard",
         "invertible.py",
@@ -60,16 +60,23 @@ MUTANTS = (
     (
         "polynomial parser without the x0 check",
         "invertible.py",
-        'if kind == "var" and (name[1:2] == "0" or len(name) > 3):',
-        'if kind == "var" and len(name) > 3:',
+        're.fullmatch(r"[wxyz]|x[1-9][0-9]?", name)',
+        're.fullmatch(r"[wxyz]|x[0-9][0-9]?", name)',
         (PARSERS + "test_x0_is_checked_before_parsing", PARSERS + "test_reference_agrees_on_documented_samples"),
     ),
     (
         "polynomial parser without the x99 bound",
         "invertible.py",
-        'if kind == "var" and (name[1:2] == "0" or len(name) > 3):',
-        'if kind == "var" and name[1:2] == "0":',
+        're.fullmatch(r"[wxyz]|x[1-9][0-9]?", name)',
+        're.fullmatch(r"[wxyz]|x[1-9][0-9]*", name)',
         (PARSERS + "test_a_variable_past_x99_is_one_invalid_name",),
+    ),
+    (
+        "polynomial parser taking any decimal digit in a name",
+        "invertible.py",
+        're.fullmatch(r"[wxyz]|x[1-9][0-9]?", name)',
+        're.fullmatch(r"[wxyz]|x(?!0)\\d\\d?", name)',
+        (PARSERS + "test_variable_names_are_ascii", PARSERS + "test_parse_polynomial_matches_reference"),
     ),
     (
         "group spec errors placed in the piece, not the spec",
@@ -79,25 +86,25 @@ MUTANTS = (
         ("tests/test_symmetry.py::test_group_spec_errors_point_into_the_spec",),
     ),
     (
+        "invalid component reported at the start of its element",
+        "symmetry.py",
+        "at + m.start(2) + end)",
+        "at)",
+        ("tests/test_symmetry.py::test_group_spec_syntax_errors_point_at_the_first_bad_character",),
+    ),
+    (
+        "generator list syntax errors reported at position 0",
+        "symmetry.py",
+        "            lead + max(end, _group_name_start(s)),",
+        "            0,",
+        ("tests/test_symmetry.py::test_group_spec_syntax_errors_point_at_the_first_bad_character",),
+    ),
+    (
         "polynomial parser stopping at the first monomial",
         "invertible.py",
         """    lex.expect("end", "expected '+' between monomials")""",
         '    lex.accept("end")',
         ("tests/test_invertible.py::test_parse_syntax_errors_carry_positions",),
-    ),
-    (
-        "E-function parser accepting a leading '+'",
-        "efunction.py",
-        '    if lex.peek()[0] == "+":',
-        "    if False:",
-        (PARSERS + "test_reference_agrees_on_documented_samples",),
-    ),
-    (
-        "E-function exponent without the zero-denominator check",
-        "efunction.py",
-        "        if den == 0:",
-        "        if False:",
-        (PARSERS + "test_zero_denominator_is_a_syntax_error",),
     ),
     # the exact solver and det E
     (

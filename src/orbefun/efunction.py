@@ -19,26 +19,18 @@ Each type has one constructor, `BiExpPolynomial(den, nums)` and
 a positive integer denominator, rejects anything else and stores the
 canonical form.  An E-function carries no arithmetic: comparison and the
 signed moments run on the integers, and `check_duality` compares numerator
-maps.  Fractions appear only at the edges: the parser and the JSON reader,
-which put their Fraction-keyed terms over the least common denominator, the
-text form, `exponents`, the values `variance` and `exponent_mean` return,
-and the read-only Fraction views `terms` and `entries`, computed on read.
+maps.  Fractions appear only at the edges: the JSON reader, which puts its
+Fraction-keyed terms over the least common denominator, the text form,
+`exponents`, the values `variance` and `exponent_mean` return, and the
+read-only Fraction views `terms` and `entries`, computed on read.
 
-Text form (`pretty`): terms sorted by tb-exponent, then t-exponent, grouped
-as (t*tb)^(e) or (tb/t)^(e) where the exponents allow, such as
--(tb/t)^(-1/6) - (tb/t)^(1/6).
-`parse_efunction` reads it back, and any outside text in the grammar below,
-with the polynomial parser's `_Lexer` (whitespace insignificant,
-int := decimal digits):
+Text form (`pretty`), written only: terms sorted by tb-exponent, then
+t-exponent, grouped as (t*tb)^(e) or (tb/t)^(e) where the exponents allow,
+such as -(tb/t)^(-1/6) - (tb/t)^(1/6).
 
-    expr := ['-'] term (('+' | '-') term)*
-    term := int | [int '*'] base ['^' exp] ('*' base ['^' exp])*
-    base := 't' | 'tb' | '(t*tb)' | '(tb/t)'
-    exp  := rat | '(' rat ')'      rat := ['-'] int ['/' int], nonzero denominator
-
-JSON form: list of {"t": "a/b", "tbar": "c/d", "coeff": k} in the same
-order; an exponent is read back from a JSON integer or a string rat as
-above, and from nothing else.
+JSON form, the one read back (`from_json_obj`): a list of
+{"t": "a/b", "tbar": "c/d", "coeff": k} in the same order, with exponents as
+`_json_rational` reads them.
 """
 
 from __future__ import annotations
@@ -50,7 +42,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import InputSyntaxError, ModeError
-from .invertible import InvertiblePolynomial, _grammar, _Lexer, _Value, weights
+from .invertible import InvertiblePolynomial, _Value, weights
 
 Term = tuple[Fraction, Fraction]
 Key = tuple[int, int]
@@ -83,11 +75,10 @@ def _canonical(den: int, nums: dict[Key, object]) -> tuple[int, dict[Key, object
 
 def _over_lcd(keys: Mapping[Term, object]) -> tuple[int, dict[Key, object]]:
     """A Fraction-keyed map as (least common denominator, numerator map)."""
-    fracs = {(Fraction(x), Fraction(y)): v for (x, y), v in keys.items()}
-    den = lcm(*(e.denominator for key in fracs for e in key))
+    den = lcm(*(e.denominator for key in keys for e in key))
     return den, {
         (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)): v
-        for (x, y), v in fracs.items()
+        for (x, y), v in keys.items()
     }
 
 
@@ -210,84 +201,6 @@ def _joined(i: int, coeff: int, body: str) -> str:
     if i == 0:
         return f"-{body}" if coeff < 0 else body
     return f" - {body}" if coeff < 0 else f" + {body}"
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-
-_EFUNCTION_GRAMMAR = _grammar("+-*/^()", tb="tb", t="t")
-
-
-def parse_efunction(text: str) -> BiExpPolynomial:
-    lex = _Lexer(_EFUNCTION_GRAMMAR, text, "empty expression")
-    if lex.peek()[0] == "+":
-        raise InputSyntaxError("unexpected '+'", lex.peek()[2])
-    sign = -1 if lex.accept("-") else 1
-    terms: dict[Term, int] = {}
-    while True:
-        key, coeff = _term(lex)
-        terms[key] = terms.get(key, 0) + sign * coeff
-        if lex.accept("end"):
-            return BiExpPolynomial(*_over_lcd(terms))
-        sign = -1 if lex.accept("-") else 1
-        if sign == 1:
-            lex.expect("+", "expected '+' or '-' between terms")
-
-
-def _term(lex: _Lexer) -> tuple[Term, int]:
-    """An unsigned term of the grammar above, as (exponents, coefficient)."""
-    coeff = 1
-    _, value, _ = lex.peek()
-    if lex.accept("int"):
-        coeff = value
-        if not lex.accept("*"):
-            return (Fraction(0), Fraction(0)), coeff  # bare constant
-    et = etb = Fraction(0)
-    while True:
-        bt, btb = _base(lex)
-        e = _exponent(lex) if lex.accept("^") else Fraction(1)
-        et += bt * e
-        etb += btb * e
-        if not lex.accept("*"):
-            return (et, etb), coeff
-
-
-def _base(lex: _Lexer) -> tuple[int, int]:
-    """t, tb, (t*tb) or (tb/t), as the exponents it contributes to (t, tb)."""
-    _, _, pos = lex.peek()
-    if lex.accept("t"):
-        return (1, 0)
-    if lex.accept("tb"):
-        return (0, 1)
-    if not lex.accept("("):
-        raise InputSyntaxError("expected a base t, tb, (t*tb) or (tb/t)", pos)
-    _, _, pos = lex.peek()
-    if lex.accept("t"):
-        for kind in ("*", "tb", ")"):
-            lex.expect(kind)
-        return (1, 1)
-    if lex.accept("tb"):
-        for kind in ("/", "t", ")"):
-            lex.expect(kind)
-        return (-1, 1)
-    raise InputSyntaxError("expected t or tb inside parentheses", pos)
-
-
-def _exponent(lex: _Lexer) -> Fraction:
-    """A rational ['-'] int ['/' int], optionally in parentheses."""
-    parenthesized = lex.accept("(")
-    sign = -1 if lex.accept("-") else 1
-    num = lex.expect("int")
-    den = 1
-    if lex.accept("/"):
-        _, _, pos = lex.peek()
-        den = lex.expect("int")
-        if den == 0:
-            raise InputSyntaxError("zero denominator", pos)
-    if parenthesized:
-        lex.expect(")")
-    return Fraction(sign * num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,8 @@ runs in integers, returns numerators over det E and verifies them.
     poly   := term ('+' term)*
     term   := [int '*']? factor ('*' factor)*
     factor := var ('^' int)?
-    var    := 'w' | 'x' | 'y' | 'z' | 'x1' ... 'x99'     (case sensitive)
-    int    := decimal digits
-
-It is read by `_Lexer`, the one tokenizer and token cursor of the package,
-which `parse_efunction` shares under its own grammar.
+    var    := 'w' | 'x' | 'y' | 'z' | 'x1' ... 'x99'     (case sensitive, ASCII digits)
+    int    := decimal digits, as int() reads them
 
 Numeric coefficients are accepted, reduced to presence and reported through
 a CoefficientWarning; no computed invariant depends on them.
@@ -174,23 +171,25 @@ def _monomial_text(row: Sequence[int], variables: Sequence[str]) -> str:
 # parsing
 
 
+# `space` is skipped, each `op` is its own kind, `int` is the decimal digits
+# `int()` reads; the parser rejects a `var` outside x1 ... x99 whole
+_POLYNOMIAL_GRAMMAR = re.compile(r"(?P<space>\s+)|(?P<op>[+*^])|(?P<int>\d+)|(?P<var>x\d+|[wxyz])")
+
+
 class _Lexer:
-    """The one tokenizer and token cursor, shared by `parse_polynomial` and
-    `parse_efunction`.
+    """The tokenizer and token cursor of `parse_polynomial`: the text is
+    scanned up front into (kind, value, position) tokens under
+    `_POLYNOMIAL_GRAMMAR`; a character that no alternative matches, or a text
+    with no token, is an InputSyntaxError.  Past the last token `peek`
+    returns ("end", None, len(text))."""
 
-    The text is scanned up front into (kind, value, position) tokens under a
-    `_grammar` regex; a character that no alternative matches, or a text with
-    no token (`empty` names it), is an InputSyntaxError.  Past the last token
-    `peek` returns ("end", None, len(text)).
-    """
-
-    def __init__(self, grammar: re.Pattern[str], text: str, empty: str):
+    def __init__(self, text: str):
         self.tokens: list[tuple[str, object, int]] = []
         self.k = 0
         self.end = len(text)
         pos = 0
         while pos < self.end:
-            m = grammar.match(text, pos)
+            m = _POLYNOMIAL_GRAMMAR.match(text, pos)
             if m is None:
                 raise InputSyntaxError(f"unexpected character {text[pos]!r}", pos)
             kind, value = m.lastgroup, m.group()
@@ -205,7 +204,7 @@ class _Lexer:
                 self.tokens.append((kind, value, pos))
             pos = m.end()
         if not self.tokens:
-            raise InputSyntaxError(empty, 0)
+            raise InputSyntaxError("empty polynomial", 0)
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.k] if self.k < len(self.tokens) else ("end", None, self.end)
@@ -217,23 +216,12 @@ class _Lexer:
         self.k += 1
         return True
 
-    def expect(self, kind: str, message: str | None = None) -> object:
+    def expect(self, kind: str, message: str) -> object:
         """Consume the next token, which must be of `kind`; return its value."""
         _, value, pos = self.peek()
         if not self.accept(kind):
-            raise InputSyntaxError(message or f"expected {kind!r}", pos)
+            raise InputSyntaxError(message, pos)
         return value
-
-
-def _grammar(ops: str, **words: str) -> re.Pattern[str]:
-    """Named alternatives: `space` (skipped), `op` (one-character operators,
-    each its own kind), `int` (decimal digits, exactly those `int()` reads)
-    and the grammar's words, whose kind is their name."""
-    alternatives = {"space": r"\s+", "op": f"[{re.escape(ops)}]", "int": r"\d+", **words}
-    return re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in alternatives.items()))
-
-
-_POLYNOMIAL_GRAMMAR = _grammar("+*^", var=r"x\d+|[wxyz]")
 
 
 def parse_polynomial(text: str) -> InvertiblePolynomial:
@@ -243,9 +231,9 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     NotDecomposableError for structural ones (wrong monomial count, repeated
     monomial, unmatched exponent patterns).
     """
-    lex = _Lexer(_POLYNOMIAL_GRAMMAR, text, "empty polynomial")
+    lex = _Lexer(text)
     for kind, name, pos in lex.tokens:
-        if kind == "var" and (name[1:2] == "0" or len(name) > 3):  # x1 ... x99 only
+        if kind == "var" and not re.fullmatch(r"[wxyz]|x[1-9][0-9]?", name):  # x1 ... x99 in ASCII
             raise InputSyntaxError(f"invalid variable {name!r}", pos)
 
     terms: list[list[tuple[str, int]]] = []
@@ -386,7 +374,7 @@ def from_exponent_matrix(
     return f
 
 
-def atom_polynomial(kind: str, a: Sequence[int], variables: Sequence[str] | None = None) -> InvertiblePolynomial:
+def atom_polynomial(kind: str, a: Sequence[int]) -> InvertiblePolynomial:
     """Standalone polynomial consisting of a single chain or loop atom."""
     m = len(a)
     rows = []
@@ -398,7 +386,7 @@ def atom_polynomial(kind: str, a: Sequence[int], variables: Sequence[str] | None
         elif i + 1 < m:
             row[i + 1] = 1
         rows.append(tuple(row))
-    return from_exponent_matrix(tuple(rows), variables)
+    return from_exponent_matrix(tuple(rows))
 
 
 def determinant(f: InvertiblePolynomial) -> int:

@@ -57,11 +57,12 @@ list read it once per call.
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, lcm, prod
+from math import gcd, prod
 from types import MappingProxyType
 
 from .errors import DomainError, InputSyntaxError, MembershipError, VerificationError
@@ -353,17 +354,6 @@ def sl_subgroup(f: InvertiblePolynomial) -> AbelianSubgroup:
     return AbelianSubgroup(f, Gf.N, _kernel(Gf.N, Gf.rows, ((1,) * f.n,)))
 
 
-def pairing(f: InvertiblePolynomial, g: GroupElement, h: GroupElement) -> Fraction:
-    """The exact pairing h^T * E * g mod Z between G_f and G_ft."""
-    if not gf_contains(f, g):
-        raise MembershipError(f"{format_element(g)} is not in the symmetry group of f")
-    if not gf_contains(transpose(f), h):
-        raise MembershipError(f"{format_element(h)} is not in the symmetry group of the transpose")
-    # E*g is integral, so the pairing is an integer dot product over the order of h
-    eg = [sum(e * x for e, x in zip(row, g.a)) // g.r for row in f.exponents]
-    return Fraction(sum(y * v for y, v in zip(h.a, eg)), h.r) % 1
-
-
 @lru_cache(maxsize=None)
 def dual_group(f: InvertiblePolynomial, G: AbelianSubgroup) -> AbelianSubgroup:
     """Annihilator of G inside the symmetry group of the transpose.
@@ -417,10 +407,16 @@ def format_element(g: GroupElement) -> str:
     return f"1/{g.r}({','.join(map(str, g.a))})"
 
 
-_ELEMENT_RE = re.compile(r"\s*1\s*/\s*(\d+)\s*\(\s*([^()]*?)\s*\)\s*$")
+_ELEMENT_RE = re.compile(r"\s*1\s*/\s*(\d+)\s*\(([^()]*)\)\s*$")
 _GENERATOR = r"1\s*/\s*\d+\s*\([^()]*\)"
-# generators separated by at most one comma each, with any whitespace
-_GENERATOR_LIST_RE = re.compile(rf"{_GENERATOR}(?:\s*,?\s*{_GENERATOR})*")
+# the longest start of a list of generators, each followed by at most one
+# comma and any whitespace; a spec is a whole list when this start is all of
+# it and it ends in ')'
+_GENERATOR_LIST_START_RE = re.compile(
+    rf"(?:{_GENERATOR}\s*,?\s*)*(?:1\s*(?:/\s*(?:\d+\s*(?:\([^()]*\)?)?)?)?)?"
+)
+# the longest start of a component list: digits, with any whitespace, between commas
+_COMPONENTS_START_RE = re.compile(r"(?:\s*\d+\s*,)*\s*(?:\d+\s*)?")
 
 
 def parse_element(text: str, n: int, *, at: int = 0) -> GroupElement:
@@ -432,15 +428,16 @@ def parse_element(text: str, n: int, *, at: int = 0) -> GroupElement:
     try:
         r = int(m.group(1))
     except ValueError:  # beyond the interpreter's digit limit
-        raise InputSyntaxError("denominator too long", at + text.index("/") + 1) from None
+        raise InputSyntaxError("denominator too long", at + m.start(1)) from None
     if r < 1:
-        raise InputSyntaxError("denominator must be positive", at + text.index("/") + 1)
+        raise InputSyntaxError("denominator must be positive", at + m.start(1))
     body = m.group(2)
-    parts = [p.strip() for p in body.split(",")] if body.strip() else []
+    parts = body.split(",") if body.strip() else []
     if len(parts) != n:
         raise DomainError(f"element {text.strip()!r} has {len(parts)} components, expected {n}")
-    if not all(p.isdecimal() for p in parts):  # int() alone takes signs and '_'
-        raise InputSyntaxError(f"invalid component in {text!r}", at)
+    end = _COMPONENTS_START_RE.match(body).end()
+    if end < len(body) or body.rstrip().endswith(","):  # int() alone takes signs and '_'
+        raise InputSyntaxError(f"invalid component in {text!r}", at + m.start(2) + end)
     try:
         nums = [int(p) for p in parts]
     except ValueError:  # beyond the interpreter's digit limit
@@ -448,28 +445,36 @@ def parse_element(text: str, n: int, *, at: int = 0) -> GroupElement:
     return GroupElement(r, nums)
 
 
+_NAMED_GROUPS = {"trivial": lambda f: subgroup(f, ()), "Gf": gf_group,
+                 "G0": grading_subgroup, "SL": sl_subgroup}
+
+
 def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
     """Resolve a group specification: 'trivial', 'Gf', 'G0', 'SL', or a list
     of generators '1/r(a1,...,an)' separated by commas or by whitespace.
 
-    A list with an empty item (a leading, trailing or doubled comma) is an
-    InputSyntaxError."""
+    A syntax error, such as an empty item in a list, is reported at the first
+    character that no valid spec continues with."""
     s = spec.strip()
-    if s == "trivial":
-        return subgroup(f, ())
-    if s == "Gf":
-        return gf_group(f)
-    if s == "G0":
-        return grading_subgroup(f)
-    if s == "SL":
-        return sl_subgroup(f)
-    if not _GENERATOR_LIST_RE.fullmatch(s):
-        raise InputSyntaxError(
-            f"invalid group spec {spec!r}: expected trivial|Gf|G0|SL or generators 1/r(a1,...,an)", 0
-        )
+    if s in _NAMED_GROUPS:
+        return _NAMED_GROUPS[s](f)
     lead = len(spec) - len(spec.lstrip())
+    end = _GENERATOR_LIST_START_RE.match(s).end()
+    if end < len(s) or not s.endswith(")"):
+        raise InputSyntaxError(
+            f"invalid group spec {spec!r}: expected trivial|Gf|G0|SL or generators 1/r(a1,...,an)",
+            lead + max(end, _group_name_start(s)),
+        )
     pieces = re.finditer(_GENERATOR, s)
     return subgroup(f, tuple(parse_element(m.group(), f.n, at=lead + m.start()) for m in pieces))
+
+
+def _group_name_start(s: str) -> int:
+    """How far a group name runs along `s`, with the whitespace after a whole name."""
+    return max(
+        len(s) - len(s[len(w):].lstrip()) if s.startswith(w) else len(os.path.commonprefix((s, w)))
+        for w in _NAMED_GROUPS
+    )
 
 
 # ---------------------------------------------------------------------------

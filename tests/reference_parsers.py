@@ -3,8 +3,11 @@
 `parse_polynomial` and `parse_efunction` below are the earlier front ends,
 each with its own character scanner (`_tokenize_polynomial`,
 `_tokenize_efunction`) and its own token cursor; apart from those two
-names they are unchanged.  `tests/test_parsers.py` checks the package's
-parsers against them on generated text.
+names they are unchanged, but for one fix: a variable name's digits are
+ASCII, as in the package.  `tests/test_parsers.py` checks the package's
+polynomial parser against `parse_polynomial` on generated text, and the
+tests read E-function text, such as the `pretty` form, with
+`parse_efunction`, which the package no longer has.
 """
 
 import warnings
@@ -37,12 +40,12 @@ def _tokenize_polynomial(text: str) -> list[tuple[str, object, int]]:
             i = j
             continue
         if ch in "wxyz":
-            if ch == "x" and i + 1 < n and text[i + 1].isdigit():
+            if ch == "x" and i + 1 < n and text[i + 1].isdecimal():
                 j = i + 1
-                while j < n and text[j].isdigit() and j - i < 3:
+                while j < n and text[j].isdecimal() and j - i < 3:
                     j += 1
                 name = text[i:j]
-                if name[1] == "0":
+                if name[1] == "0" or not name.isascii():
                     raise InputSyntaxError(f"invalid variable {name!r}", i)
                 toks.append(("var", name, i))
                 i = j

@@ -9,7 +9,9 @@ package's lattice forms are checked against them on small groups.
 Elements are added through their Fraction view (`add`), with the oracle's
 own arithmetic: the package's elements have no arithmetic of their own.
 
-`identity(n)` is the identity element of (Q/Z)^n, `GroupElement(1, 0...0)`.
+`identity(n)` is the identity element of (Q/Z)^n, `GroupElement(1, 0...0)`,
+and `pairing` is h^T * E * g mod Z in Fractions, from which `dual_group`
+takes the annihilator.
 
 `solve` is the atom-by-atom solver as it ran in Fraction arithmetic before
 it was rewritten in integer numerators over det E; the integer solver is
@@ -24,11 +26,17 @@ from typing import Sequence
 
 from orbefun import VerificationError, transpose
 from orbefun.invertible import InvertiblePolynomial, _solve
-from orbefun.symmetry import GroupElement, is_in_sl, pairing
+from orbefun.symmetry import GroupElement, is_in_sl
 
 
 def identity(n: int) -> GroupElement:
     return GroupElement(1, (0,) * n)
+
+
+def pairing(f, g, h) -> Fraction:
+    """The pairing h^T * E * g mod Z between G_f and G_ft."""
+    eg = [sum(e * c for e, c in zip(row, g.comps)) for row in f.exponents]
+    return sum((c * v for c, v in zip(h.comps, eg)), Fraction(0)) % 1
 
 
 @dataclass(frozen=True)

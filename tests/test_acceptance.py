@@ -25,7 +25,7 @@ from orbefun.basis_engine import (
     spectrum_identity_holds,
 )
 from orbefun.corpus import default_corpus
-from orbefun.efunction import central_charge, exponent_mean, parse_efunction, variance
+from orbefun.efunction import central_charge, exponent_mean, variance
 from orbefun.invertible import determinant, milnor_number, weights
 from orbefun.symmetry import (
     grading_operator,
@@ -35,6 +35,7 @@ from orbefun.symmetry import (
     sorted_elements,
 )
 from reference_engines import expected_multiplicity
+from reference_parsers import parse_efunction
 
 
 @pytest.fixture(scope="module")

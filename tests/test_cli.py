@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 
 from orbefun.cli import main
-from orbefun.efunction import parse_efunction
+from reference_parsers import parse_efunction
 
 
 def run(capsys, *argv):

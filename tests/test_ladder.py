@@ -5,7 +5,7 @@ process, and `tests/ladder.sha256` holds the digest of each one's record
 (command, exit code, stdout, stderr) as that script writes it.  Here the
 same list runs in this process through `cli.main`, with captured streams,
 and every record must hash to its line.  A deliberate change of output
-rewrites the file with `python scripts/cli_ladder.py OUT tests/ladder.sha256`.
+rewrites the file with `python scripts/cli_ladder.py OUT > tests/ladder.sha256`.
 """
 
 import contextlib

@@ -35,7 +35,7 @@ ERRORS = (
     "VerificationError",
 )
 
-# the other 45 names the top level used to re-export, by the module that defines them
+# the other 43 names the top level used to re-export, by the module that defines them
 MOVED = {
     "basis_engine": (
         "PairTable SectorContribution atom_basis degree_counts "
@@ -44,8 +44,7 @@ MOVED = {
     ),
     "corpus": "CorpusEntry EntryResult default_corpus parse_corpus run_corpus run_entry",
     "efunction": (
-        "BiExpPolynomial HodgeTable central_charge exponent_mean exponents "
-        "parse_efunction variance"
+        "BiExpPolynomial HodgeTable central_charge exponent_mean exponents variance"
     ),
     "invertible": (
         "Atom InvertiblePolynomial WeightSystem atom_polynomial determinant "
@@ -53,7 +52,7 @@ MOVED = {
     ),
     "symmetry": (
         "AbelianSubgroup GroupElement all_subgroups format_element gf_group "
-        "grading_operator grading_subgroup is_in_sl pairing parse_element "
+        "grading_operator grading_subgroup is_in_sl parse_element "
         "sl_subgroup subgroup"
     ),
 }
@@ -92,14 +91,11 @@ def _code_names(path):
 
 
 def _readers():
-    """Every name read outside the tests: in the code of src/ and perfbench/,
-    and in the inline code and code blocks of README.md."""
+    """Every name read by code outside the tests, in src/ and perfbench/; a
+    mention in README.md is not a reader."""
     names = set()
     for path in (*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")):
         names |= _code_names(path)
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    for code in re.findall(r"```.*?```|`[^`]+`", readme, re.S):
-        names.update(re.findall(r"\w+", code))
     return names
 
 

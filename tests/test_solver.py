@@ -8,10 +8,9 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbefun import VerificationError, parse_polynomial, transpose
+from orbefun import VerificationError, parse_polynomial
 from orbefun.basis_engine import milnor_basis, psi
 from orbefun.invertible import _solve, determinant, weights
-from orbefun.symmetry import gf_group, pairing, sorted_elements
 import reference_symmetry as ref
 from strategies import interleaved_polynomials, polynomials
 
@@ -92,12 +91,3 @@ def test_integer_solve_equals_the_fraction_oracle(f, data):
     assert det == determinant(f)
     assert tuple(F(x, det) for x in nums) == ref.solve(f, b)
 
-
-@settings(max_examples=30, deadline=None)
-@given(interleaved_polynomials(max_vars=3), st.data())
-def test_pairing_matches_fraction_formula(f, data):
-    ft = transpose(f)
-    g = data.draw(st.sampled_from(sorted_elements(gf_group(f))))
-    h = data.draw(st.sampled_from(sorted_elements(gf_group(ft))))
-    eg = [sum(e * c for e, c in zip(row, g.comps)) for row in f.exponents]
-    assert pairing(f, g, h) == sum((c * v for c, v in zip(h.comps, eg)), F(0)) % 1

@@ -23,7 +23,6 @@ from orbefun.symmetry import (
     grading_operator,
     grading_subgroup,
     is_in_sl,
-    pairing,
     parse_element,
     sl_subgroup,
     sorted_elements,
@@ -118,10 +117,10 @@ def test_sl_subgroup_examples():
 def test_pairing_examples():
     f = parse_polynomial("x^4 + y^4")
     g = parse_element("1/4(1,0)", 2)
-    assert pairing(f, g, g) == F(1, 4)
+    assert ref.pairing(f, g, g) == F(1, 4)
     h = parse_element("1/4(1,3)", 2)
-    assert pairing(f, h, parse_element("1/4(1,1)", 2)) == 0
-    assert pairing(f, h, h) == F(1, 2)
+    assert ref.pairing(f, h, parse_element("1/4(1,1)", 2)) == 0
+    assert ref.pairing(f, h, h) == F(1, 2)
 
 
 def test_dual_group_examples():
@@ -172,13 +171,39 @@ def test_parse_group_spec_rejects_empty_items():
     ("1/0(1)", "denominator must be positive", 2),
     ("1/3(1), 1/0(1)", "denominator must be positive", 10),
     ("  1/3(1)\t1/0(1)", "denominator must be positive", 11),
-    ("1/3(1) 1/3(+1)", "invalid component", 7),
+    ("1/3(1) 1 / 0(1)", "denominator must be positive", 11),
+    ("1/ " + "9" * 5000 + "(1)", "denominator too long", 3),
+    ("1/3(1) 1/3(+1)", "invalid component", 11),
     ("1/3(1), 1/3(1" + "0" * 5000 + ")", "component too long", 12),
 ])
 def test_group_spec_errors_point_into_the_spec(spec, message, pos):
     f = parse_polynomial("x^3")
     with pytest.raises(InputSyntaxError, match=message) as info:
         parse_group_spec(f, spec)
+    assert info.value.position == pos
+
+
+# a syntax error is reported at the first character that no valid spec
+# continues with: inside a component, at a separator, or at the end
+@pytest.mark.parametrize("poly, spec, message, pos", [
+    ("x^3", "1/3(1) 1/3(+1)", "invalid component", 11),
+    ("x^3", "1/3(1),, 1/3(2)", "invalid group spec", 7),
+    ("x^3", "1/3(1) ,, 1/3(2)", "invalid group spec", 8),
+    ("x^3", "1/3(1),", "invalid group spec", 7),
+    ("x^3 + y^3", "1/3(1_0,+2)", "invalid component", 5),
+    ("x^3 + y^3", "1/3(-1,2)", "invalid component", 4),
+    # a start of trivial, Gf, G0 or SL runs as far as the name goes, and a
+    # whole name as far as the whitespace after it
+    ("x^3", "Gx", "invalid group spec", 1),
+    ("x^3", " trivia", "invalid group spec", 7),
+    ("x^3", "SL,", "invalid group spec", 2),
+    ("x^3", "trivial  1/3(1)", "invalid group spec", 9),
+    ("x^3", "G f", "invalid group spec", 1),
+    ("x^3", "", "invalid group spec", 0),
+])
+def test_group_spec_syntax_errors_point_at_the_first_bad_character(poly, spec, message, pos):
+    with pytest.raises(InputSyntaxError, match=message) as info:
+        parse_group_spec(parse_polynomial(poly), spec)
     assert info.value.position == pos
 
 
