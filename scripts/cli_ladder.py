@@ -69,6 +69,15 @@ FAILURES = (
     # element components are decimal digits: no underscore, no sign
     ("efunction", "x^3 + y^3", "--group", "1/3(1_0,+2)"),
     ("efunction", "x^3 + y^3", "--group", "1/3(-1,2)"),
+    # the whole text is read before its meaning: each stops at its first bad
+    # character, with no warning and whatever the number of variables
+    ("info", "x^3 ++ y$"),
+    ("info", "x^^3 + y%"),
+    ("info", "0*x^3 ++ y"),
+    ("info", "2*x^3 ++ y^2"),
+    ("efunction", "x^3 + y^3", "--group", "1/3(1,,2)"),
+    ("efunction", "x^3 + y^3 + z^3", "--group", "1/3(1,,2)"),
+    ("efunction", "x^3 + y^3 + z^3", "--group", "1/3(1 1)"),
 )
 
 

@@ -53,8 +53,8 @@ MUTANTS = (
     (
         "lexer without the integer-too-long guard",
         "invertible.py",
-        "                except ValueError:  # beyond the interpreter's digit limit",
-        "                except ZeroDivisionError:",
+        "        except ValueError:  # beyond the interpreter's digit limit",
+        "        except ZeroDivisionError:",
         (PARSERS + "test_integers_beyond_the_digit_limit_are_syntax_errors",),
     ),
     (
@@ -62,7 +62,7 @@ MUTANTS = (
         "invertible.py",
         're.fullmatch(r"[wxyz]|x[1-9][0-9]?", name)',
         're.fullmatch(r"[wxyz]|x[0-9][0-9]?", name)',
-        (PARSERS + "test_x0_is_checked_before_parsing", PARSERS + "test_reference_agrees_on_documented_samples"),
+        (PARSERS + "test_a_name_is_checked_as_it_is_read", PARSERS + "test_reference_agrees_on_documented_samples"),
     ),
     (
         "polynomial parser without the x99 bound",
@@ -76,27 +76,46 @@ MUTANTS = (
         "invertible.py",
         're.fullmatch(r"[wxyz]|x[1-9][0-9]?", name)',
         're.fullmatch(r"[wxyz]|x(?!0)\\d\\d?", name)',
-        (PARSERS + "test_variable_names_are_ascii", PARSERS + "test_parse_polynomial_matches_reference"),
+        (PARSERS + "test_variable_names_are_ascii", PARSERS + "test_reference_agrees_on_documented_samples"),
     ),
     (
         "group spec errors placed in the piece, not the spec",
         "symmetry.py",
-        "parse_element(m.group(), f.n, at=lead + m.start())",
-        "parse_element(m.group(), f.n)",
+        '        raise InputSyntaxError("denominator must be positive", pos)',
+        '        raise InputSyntaxError("denominator must be positive", pos - start)',
         ("tests/test_symmetry.py::test_group_spec_errors_point_into_the_spec",),
     ),
     (
         "invalid component reported at the start of its element",
         "symmetry.py",
-        "at + m.start(2) + end)",
-        "at)",
+        'InputSyntaxError(f"invalid component in {piece!r}", pos)',
+        'InputSyntaxError(f"invalid component in {piece!r}", start)',
         ("tests/test_symmetry.py::test_group_spec_syntax_errors_point_at_the_first_bad_character",),
     ),
     (
         "generator list syntax errors reported at position 0",
         "symmetry.py",
-        "            lead + max(end, _group_name_start(s)),",
-        "            0,",
+        "        raise InputSyntaxError(message, start + value.startswith(\"1\"))",
+        "        raise InputSyntaxError(message, 0)",
+        ("tests/test_symmetry.py::test_group_spec_syntax_errors_point_at_the_first_bad_character",),
+    ),
+    (
+        "lexer tokenizing the whole text up front",
+        "invertible.py",
+        "        self.pos = 0  # where the next scan starts\n",
+        "        self.pos = 0  # where the next scan starts\n"
+        '        while self.peek()[0] != "end":\n'
+        "            self.token = None\n"
+        "        self.pos, self.token = 0, None\n",
+        (PARSERS + "test_syntax_is_checked_before_meaning",),
+    ),
+    (
+        "element arity checked before its syntax",
+        "symmetry.py",
+        "    lex = _Lexer(_GROUP_GRAMMAR, spec)\n",
+        "    lex = _Lexer(_GROUP_GRAMMAR, spec)\n"
+        "    if spec.count(\",\") + 1 != f.n:  # the components of a one-generator spec, counted up front\n"
+        '        raise DomainError(f"element {spec!r} has {spec.count(\',\') + 1} components, expected {f.n}")\n',
         ("tests/test_symmetry.py::test_group_spec_syntax_errors_point_at_the_first_bad_character",),
     ),
     (
@@ -422,29 +441,23 @@ MUTANTS = (
         "        r, s = self.r, other.r",
         ("tests/test_value_types.py::test_ordered_values_compare_only_with_their_own_class",),
     ),
-    # a coefficient warning only for a coefficient the parse keeps ignoring
+    # a coefficient is checked and warned about only once the text is in the grammar
     (
-        "coefficient warning before the zero and '*' checks",
+        "coefficient checked and warned as it is read",
         "invertible.py",
+        """            coefficients.append((lex.integer("expected a coefficient"), pos))\n""",
+        """            value = lex.integer("expected a coefficient")\n"""
         "            if value == 0:\n"
         '                raise NotInvertibleError(f"zero coefficient at position {pos}")\n'
-        """            lex.expect("*", "expected '*' after coefficient")\n"""
         "            warnings.warn(\n"
         '                f"coefficient {value} on the monomial at position {pos} is ignored",\n'
         "                CoefficientWarning,\n"
         "                stacklevel=2,\n"
         "            )\n",
-        "            warnings.warn(\n"
-        '                f"coefficient {value} on the monomial at position {pos} is ignored",\n'
-        "                CoefficientWarning,\n"
-        "                stacklevel=2,\n"
-        "            )\n"
-        "            if value == 0:\n"
-        '                raise NotInvertibleError(f"zero coefficient at position {pos}")\n'
-        """            lex.expect("*", "expected '*' after coefficient")\n""",
         (
             "tests/test_invertible.py::test_a_coefficient_the_parse_rejects_draws_no_warning",
             "tests/test_cli.py::test_coefficient_warnings_are_one_line_each_and_main_leaves_no_filter",
+            PARSERS + "test_syntax_is_checked_before_meaning",
         ),
     ),
 )

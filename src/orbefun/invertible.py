@@ -30,6 +30,10 @@ runs in integers, returns numerators over det E and verifies them.
     var    := 'w' | 'x' | 'y' | 'z' | 'x1' ... 'x99'     (case sensitive, ASCII digits)
     int    := decimal digits, as int() reads them
 
+Syntax is checked before meaning, here and in `symmetry`'s group specs: a
+text outside the grammar is an InputSyntaxError (exit 2) at the first
+character that no valid text continues with, a name or a number read whole;
+only a text in the grammar meets a DomainError (exit 3) or a warning.
 Numeric coefficients are accepted, reduced to presence and reported through
 a CoefficientWarning; no computed invariant depends on them.
 """
@@ -171,87 +175,80 @@ def _monomial_text(row: Sequence[int], variables: Sequence[str]) -> str:
 # parsing
 
 
-# `space` is skipped, each `op` is its own kind, `int` is the decimal digits
-# `int()` reads; the parser rejects a `var` outside x1 ... x99 whole
-_POLYNOMIAL_GRAMMAR = re.compile(r"(?P<space>\s+)|(?P<op>[+*^])|(?P<int>\d+)|(?P<var>x\d+|[wxyz])")
+# a token after any whitespace: each `op` its own kind, `int` the digits `int()`
+# reads, `end` the end; the parser rejects a `var` outside x1 ... x99 whole
+_POLYNOMIAL_GRAMMAR = re.compile(r"\s*(?:(?P<op>[+*^])|(?P<int>\d+)|(?P<var>x\d+|[wxyz])|(?P<end>\Z))")
 
 
 class _Lexer:
-    """The tokenizer and token cursor of `parse_polynomial`: the text is
-    scanned up front into (kind, value, position) tokens under
-    `_POLYNOMIAL_GRAMMAR`; a character that no alternative matches, or a text
-    with no token, is an InputSyntaxError.  Past the last token `peek`
-    returns ("end", None, len(text))."""
+    """The token cursor of the text parsers over `text`: (kind, text,
+    position) tokens under the regex `grammar`, whose named groups are the
+    kinds (an `op`'s kind is its text), each scanned when the parser asks
+    for it, so the parse stops at the first bad token; a character that no
+    group matches is an InputSyntaxError once the parse reaches it."""
 
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, object, int]] = []
-        self.k = 0
-        self.end = len(text)
-        pos = 0
-        while pos < self.end:
-            m = _POLYNOMIAL_GRAMMAR.match(text, pos)
+    def __init__(self, grammar: re.Pattern[str], text: str):
+        self.grammar, self.text = grammar, text
+        self.token: tuple[str, str, int] | None = None  # scanned, not yet consumed
+        self.pos = 0  # where the next scan starts
+
+    def peek(self) -> tuple[str, str, int]:
+        if self.token is None:
+            m = self.grammar.match(self.text, self.pos)
             if m is None:
-                raise InputSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            kind, value = m.lastgroup, m.group()
-            if kind == "int":
-                try:
-                    value = int(value)
-                except ValueError:  # beyond the interpreter's digit limit
-                    raise InputSyntaxError("integer too long", pos) from None
-            elif kind == "op":
-                kind = value
-            if kind != "space":
-                self.tokens.append((kind, value, pos))
-            pos = m.end()
-        if not self.tokens:
-            raise InputSyntaxError("empty polynomial", 0)
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.k] if self.k < len(self.tokens) else ("end", None, self.end)
+                pos = len(self.text) - len(self.text[self.pos:].lstrip())
+                raise InputSyntaxError(f"unexpected character {self.text[pos]!r}", pos)
+            kind = m.lastgroup
+            self.token = (m[kind] if kind == "op" else kind, m[kind], m.start(kind))
+            self.pos = m.end()
+        return self.token
 
     def accept(self, kind: str) -> bool:
         """Consume the next token if it is of `kind`."""
         if self.peek()[0] != kind:
             return False
-        self.k += 1
+        self.token = None
         return True
 
-    def expect(self, kind: str, message: str) -> object:
-        """Consume the next token, which must be of `kind`; return its value."""
-        _, value, pos = self.peek()
+    def expect(self, kind: str, message: str) -> tuple[str, str, int]:
+        """Consume the next token, which must be of `kind`, and return it."""
+        token = self.peek()
         if not self.accept(kind):
-            raise InputSyntaxError(message, pos)
-        return value
+            raise InputSyntaxError(message, token[2])
+        return token
+
+    def integer(self, message: str, name: str = "integer") -> int:
+        """Consume the next token, which must be an `int`; return its value."""
+        _, digits, pos = self.expect("int", message)
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's digit limit
+            raise InputSyntaxError(f"{name} too long", pos) from None
 
 
 def parse_polynomial(text: str) -> InvertiblePolynomial:
     """Parse polynomial text and validate it as an invertible polynomial.
 
-    Raises InputSyntaxError for grammar violations and NotInvertibleError /
-    NotDecomposableError for structural ones (wrong monomial count, repeated
-    monomial, unmatched exponent patterns).
+    Raises InputSyntaxError for grammar violations and, for a text in the
+    grammar, NotInvertibleError / NotDecomposableError for structural ones
+    (zero coefficient, wrong monomial count, unmatched exponent patterns).
     """
-    lex = _Lexer(text)
-    for kind, name, pos in lex.tokens:
-        if kind == "var" and not re.fullmatch(r"[wxyz]|x[1-9][0-9]?", name):  # x1 ... x99 in ASCII
-            raise InputSyntaxError(f"invalid variable {name!r}", pos)
-
+    lex = _Lexer(_POLYNOMIAL_GRAMMAR, text)
+    if lex.peek()[0] == "end":
+        raise InputSyntaxError("empty polynomial", 0)
+    coefficients: list[tuple[int, int]] = []  # (value, position)
     terms: list[list[tuple[str, int]]] = []
     while True:
-        _, value, pos = lex.peek()
-        if lex.accept("int"):
-            if value == 0:
-                raise NotInvertibleError(f"zero coefficient at position {pos}")
+        kind, _, pos = lex.peek()
+        if kind == "int":
+            coefficients.append((lex.integer("expected a coefficient"), pos))
             lex.expect("*", "expected '*' after coefficient")
-            warnings.warn(
-                f"coefficient {value} on the monomial at position {pos} is ignored",
-                CoefficientWarning,
-                stacklevel=2,
-            )
         factors: list[tuple[str, int]] = []
         while True:
-            name = lex.expect("var", "expected a variable")
-            exp = lex.expect("int", "expected an integer exponent") if lex.accept("^") else 1
+            _, name, pos = lex.expect("var", "expected a variable")
+            if not re.fullmatch(r"[wxyz]|x[1-9][0-9]?", name):  # x1 ... x99 in ASCII
+                raise InputSyntaxError(f"invalid variable {name!r}", pos)
+            exp = lex.integer("expected an integer exponent") if lex.accept("^") else 1
             factors.append((name, exp))
             if not lex.accept("*"):
                 break
@@ -259,6 +256,14 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
         if not lex.accept("+"):
             break
     lex.expect("end", "expected '+' between monomials")
+    for value, pos in coefficients:
+        if value == 0:
+            raise NotInvertibleError(f"zero coefficient at position {pos}")
+        warnings.warn(
+            f"coefficient {value} on the monomial at position {pos} is ignored",
+            CoefficientWarning,
+            stacklevel=2,
+        )
 
     variables = tuple(dict.fromkeys(name for factors in terms for name, _ in factors))
     rows = tuple(tuple(sum(e for name, e in factors if name == v) for v in variables)
@@ -338,34 +343,19 @@ def from_exponent_matrix(
                     f"variable {variables[s]} is the link variable of two monomials"
                 )
 
+    # with at most one predecessor each, the links are disjoint paths and cycles
     visited = [False] * n
     atoms: list[Atom] = []
-    for head in range(n):
-        if indeg[head] != 0 or visited[head]:
-            continue
-        path = []
-        j: int | None = head
-        while j is not None:
-            if visited[j]:
-                raise NotDecomposableError("chain runs into a loop")
-            visited[j] = True
-            path.append(j)
-            j = succ[j]
-        atoms.append(Atom("chain", tuple(path), tuple(exponents[v][v] for v in path)))
-    for start in range(n):
+    for start in sorted(range(n), key=lambda j: indeg[j] != 0):  # heads first
         if visited[start]:
             continue
-        cycle = []
-        j = start
-        while True:
+        path = [start]
+        while (j := succ[path[-1]]) is not None and j != start:
+            path.append(j)
+        for j in path:
             visited[j] = True
-            cycle.append(j)
-            j = succ[j]
-            if j is None:
-                raise VerificationError("a variable outside every chain has no successor")
-            if j == start:
-                break
-        atoms.append(Atom("loop", tuple(cycle), tuple(exponents[v][v] for v in cycle)))
+        kind = "loop" if succ[path[-1]] == start else "chain"
+        atoms.append(Atom(kind, tuple(path), tuple(exponents[v][v] for v in path)))
     atoms.sort(key=lambda atom: min(atom.var_indices))
 
     f = InvertiblePolynomial(n, exponents, variables, tuple(atoms))

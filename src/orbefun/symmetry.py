@@ -66,7 +66,7 @@ from math import gcd, prod
 from types import MappingProxyType
 
 from .errors import DomainError, InputSyntaxError, MembershipError, VerificationError
-from .invertible import InvertiblePolynomial, _solve, _Value, determinant, transpose, weights
+from .invertible import InvertiblePolynomial, _Lexer, _solve, _Value, determinant, transpose, weights
 
 
 @total_ordering
@@ -407,42 +407,47 @@ def format_element(g: GroupElement) -> str:
     return f"1/{g.r}({','.join(map(str, g.a))})"
 
 
-_ELEMENT_RE = re.compile(r"\s*1\s*/\s*(\d+)\s*\(([^()]*)\)\s*$")
-_GENERATOR = r"1\s*/\s*\d+\s*\([^()]*\)"
-# the longest start of a list of generators, each followed by at most one
-# comma and any whitespace; a spec is a whole list when this start is all of
-# it and it ends in ')'
-_GENERATOR_LIST_START_RE = re.compile(
-    rf"(?:{_GENERATOR}\s*,?\s*)*(?:1\s*(?:/\s*(?:\d+\s*(?:\([^()]*\)?)?)?)?)?"
-)
-# the longest start of a component list: digits, with any whitespace, between commas
-_COMPONENTS_START_RE = re.compile(r"(?:\s*\d+\s*,)*\s*(?:\d+\s*)?")
+# a token after any whitespace, as in `invertible`: each `op` its own kind,
+# `int` the digits `int()` reads, `end` the end, and any other character one
+# `other` token, which the parser reports where it meets it
+_GROUP_GRAMMAR = re.compile(r"\s*(?:(?P<op>[/(),])|(?P<int>\d+)|(?P<end>\Z)|(?P<other>.))", re.S)
 
 
-def parse_element(text: str, n: int, *, at: int = 0) -> GroupElement:
-    """Read '1/r(a1,...,an)'; r and every a_i are decimal digits.  Error
-    positions count from `at`, the offset of `text` in a longer spec."""
-    m = _ELEMENT_RE.match(text)
-    if not m:
-        raise InputSyntaxError(f"expected an element of the form 1/r(a1,...,an): {text!r}", at)
-    try:
-        r = int(m.group(1))
-    except ValueError:  # beyond the interpreter's digit limit
-        raise InputSyntaxError("denominator too long", at + m.start(1)) from None
-    if r < 1:
-        raise InputSyntaxError("denominator must be positive", at + m.start(1))
-    body = m.group(2)
-    parts = body.split(",") if body.strip() else []
-    if len(parts) != n:
-        raise DomainError(f"element {text.strip()!r} has {len(parts)} components, expected {n}")
-    end = _COMPONENTS_START_RE.match(body).end()
-    if end < len(body) or body.rstrip().endswith(","):  # int() alone takes signs and '_'
-        raise InputSyntaxError(f"invalid component in {text!r}", at + m.start(2) + end)
-    try:
-        nums = [int(p) for p in parts]
-    except ValueError:  # beyond the interpreter's digit limit
-        raise InputSyntaxError("component too long", at + text.index("(") + 1) from None
-    return GroupElement(r, nums)
+def _element(lex: _Lexer, text: str, message: str) -> tuple[int, list[int]]:
+    """Read one '1/r(a1,...,an)' from `lex`, a cursor over `text`, as
+    (r, [a1, ..., an]).  A syntax error inside the parentheses is an invalid
+    component; any other, and an unclosed or nested list, is `message`."""
+    _, value, start = lex.peek()
+    if value != "1":  # the numerator is the one character '1'
+        raise InputSyntaxError(message, start + value.startswith("1"))
+    lex.accept("int")
+    lex.expect("/", message)
+    pos = lex.peek()[2]
+    if (r := lex.integer(message, "denominator")) < 1:
+        raise InputSyntaxError("denominator must be positive", pos)
+    lex.expect("(", message)
+    components: list[int] = []
+    while not lex.accept(")"):
+        if components and not lex.accept(",") or lex.peek()[0] != "int":
+            kind, _, pos = lex.peek()
+            if kind in ("(", "end"):
+                raise InputSyntaxError(message, pos)
+            piece = text[start:text.find(")", start) + 1 or None]
+            raise InputSyntaxError(f"invalid component in {piece!r}", pos)
+        components.append(lex.integer(message, "component"))
+    return r, components
+
+
+def parse_element(text: str, n: int) -> GroupElement:
+    """Read '1/r(a1,...,an)'; r and every a_i are decimal digits, as `int()`
+    reads them, and the syntax is checked before the arity n."""
+    lex = _Lexer(_GROUP_GRAMMAR, text)
+    message = f"expected an element of the form 1/r(a1,...,an): {text!r}"
+    r, components = _element(lex, text, message)
+    lex.expect("end", message)
+    if len(components) != n:
+        raise DomainError(f"element {text.strip()!r} has {len(components)} components, expected {n}")
+    return GroupElement(r, components)
 
 
 _NAMED_GROUPS = {"trivial": lambda f: subgroup(f, ()), "Gf": gf_group,
@@ -453,28 +458,29 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> AbelianSubgroup:
     """Resolve a group specification: 'trivial', 'Gf', 'G0', 'SL', or a list
     of generators '1/r(a1,...,an)' separated by commas or by whitespace.
 
-    A syntax error, such as an empty item in a list, is reported at the first
-    character that no valid spec continues with."""
+    As in `invertible`, the syntax is checked before the meaning: a spec
+    outside the grammar, such as one with an empty item, is an
+    InputSyntaxError at the first character that no valid spec continues
+    with, whatever f is; only then does `parse_element` read each generator
+    against f, and a wrong arity or a non-symmetry is a DomainError."""
     s = spec.strip()
     if s in _NAMED_GROUPS:
         return _NAMED_GROUPS[s](f)
-    lead = len(spec) - len(spec.lstrip())
-    end = _GENERATOR_LIST_START_RE.match(s).end()
-    if end < len(s) or not s.endswith(")"):
-        raise InputSyntaxError(
-            f"invalid group spec {spec!r}: expected trivial|Gf|G0|SL or generators 1/r(a1,...,an)",
-            lead + max(end, _group_name_start(s)),
-        )
-    pieces = re.finditer(_GENERATOR, s)
-    return subgroup(f, tuple(parse_element(m.group(), f.n, at=lead + m.start()) for m in pieces))
-
-
-def _group_name_start(s: str) -> int:
-    """How far a group name runs along `s`, with the whitespace after a whole name."""
-    return max(
-        len(s) - len(s[len(w):].lstrip()) if s.startswith(w) else len(os.path.commonprefix((s, w)))
-        for w in _NAMED_GROUPS
-    )
+    message = f"invalid group spec {spec!r}: expected trivial|Gf|G0|SL or generators 1/r(a1,...,an)"
+    if not s.startswith("1"):  # at most a start of a name, with the whitespace after a whole one
+        stop = max(len(s) - len(s[len(w):].lstrip()) if s.startswith(w)
+                   else len(os.path.commonprefix((s, w))) for w in _NAMED_GROUPS)
+        raise InputSyntaxError(message, len(spec) - len(spec.lstrip()) + stop)
+    lex = _Lexer(_GROUP_GRAMMAR, spec)
+    pieces = []
+    while True:
+        start = lex.peek()[2]
+        _element(lex, spec, message)
+        pieces.append(spec[start:lex.pos])
+        if lex.accept("end"):
+            break
+        lex.accept(",")
+    return subgroup(f, tuple(parse_element(piece, f.n) for piece in pieces))
 
 
 # ---------------------------------------------------------------------------

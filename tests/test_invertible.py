@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbefun import (
     CoefficientWarning,
@@ -87,6 +88,23 @@ def test_parse_syntax_errors_carry_positions():
         parse_polynomial("x^")
     with pytest.raises(InputSyntaxError):
         parse_polynomial("x^3 y^2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n - 1, max_size=n + 1,
+)))
+def test_random_exponent_matrices_decompose_or_fail_cleanly(rows):
+    """Every matrix with entries 0-3 is rejected as not invertible or not
+    decomposable, or its atoms partition the variables."""
+    try:
+        f = from_exponent_matrix(rows)
+    except (NotInvertibleError, NotDecomposableError):
+        return
+    covered = sorted(i for atom in f.atoms for i in atom.var_indices)
+    assert covered == list(range(f.n))
+    for atom in f.atoms:
+        assert [f.exponents[i][i] for i in atom.var_indices] == list(atom.a)
 
 
 def test_non_invertible_shapes_rejected():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefix_oracle
 import reference_parsers as ref
-from orbefun import InputSyntaxError, OrbefunError, parse_group_spec, parse_polynomial
+from orbefun import DomainError, InputSyntaxError, OrbefunError, parse_group_spec, parse_polynomial
 from orbefun.corpus import CorpusEntry, default_corpus, parse_corpus, run_entry
 from orbefun.efunction import BiExpPolynomial
 from orbefun.symmetry import format_element, parse_element
@@ -48,11 +49,13 @@ def _allowed_difference(text, old, new):
     if old[0] == "raise" and new[2].startswith("invalid variable") and re.match(r"x\d{3}", text[new[3]:]):
         # the old scanner read at most two digits, then failed on the rest
         return "a variable name past x99"
-    if not new[2].startswith("unexpected character"):
-        return None
-    if old[0] == "raise" and old[2].startswith("invalid variable") and old[3] < new[3]:
-        # the old scanner checked each name as it read it
-        return "an invalid variable before an unexpected character"
+    if old[0] == "raise" and new[2].startswith("expected") and (
+        old[2].startswith(("unexpected character", "invalid variable")) and new[3] <= old[3]
+        or old[2].startswith("zero coefficient")
+    ):
+        # the old scanner read the whole text before the grammar, and the old
+        # parser checked a zero coefficient as it read it
+        return "a grammar error before an unexpected character"
     return None
 
 
@@ -60,7 +63,10 @@ def _check_against_reference(text, old_parse, new_parse):
     old, old_warnings = _outcome(old_parse, text)
     new, new_warnings = _outcome(new_parse, text)
     if old == new:
-        assert old_warnings == new_warnings, text
+        # the old parser warned as it read a coefficient, the package only
+        # about a text in the grammar
+        syntax_error = new[0] == "raise" and new[1] is InputSyntaxError
+        assert new_warnings == ([] if syntax_error else old_warnings), text
         return
     assert _allowed_difference(text, old, new), (text, old, new)
 
@@ -73,7 +79,7 @@ def test_parse_polynomial_matches_reference(text):
 
 def test_reference_agrees_on_documented_samples():
     for text in ("x^3*y + y^2", "2*x^3 + y^3", "x1^5 + x2^5 + x3^5 + x4^5 + x5^5",
-                 "x^٣ + y^2", "x^2*y + y^2*x", "x0^3", "x^3 +", "x^3 ! x0"):
+                 "x^٣ + y^2", "x٣^3 + y^2", "x^2*y + y^2*x", "x0^3", "x^3 +", "x^3 ! x0"):
         _check_against_reference(text, ref.parse_polynomial, parse_polynomial)
 
 
@@ -95,9 +101,13 @@ def test_variable_names_are_ascii(text, name):
     assert info.value.position == 0
 
 
-def test_x0_is_checked_before_parsing():
-    with pytest.raises(InputSyntaxError, match="invalid variable 'x05'"):
+def test_a_name_is_checked_as_it_is_read():
+    with pytest.raises(InputSyntaxError, match="invalid variable 'x05'") as info:
+        parse_polynomial("x^3 + x05 + !")
+    assert info.value.position == 6
+    with pytest.raises(InputSyntaxError, match="expected a variable") as info:
         parse_polynomial("x^3 + + x05")
+    assert info.value.position == 6
 
 
 @pytest.mark.parametrize("text, name, pos", [
@@ -109,6 +119,25 @@ def test_a_variable_past_x99_is_one_invalid_name(text, name, pos):
     with pytest.raises(InputSyntaxError, match=f"invalid variable '{name}'") as info:
         parse_polynomial(text)
     assert info.value.position == pos
+
+
+# the whole text is read before its meaning: the parse stops at the first
+# bad character, before a later unexpected character, a zero coefficient or
+# a coefficient warning
+@pytest.mark.parametrize("text, message, pos", [
+    ("x^3 ++ y$", "expected a variable", 5),
+    ("x^^3 + y%", "expected an integer exponent", 2),
+    ("0*x^3 ++ y", "expected a variable", 7),
+    ("2*x^3 ++ y^2", "expected a variable", 7),
+    ("0*x^3 y", "expected '+' between monomials", 6),
+])
+def test_syntax_is_checked_before_meaning(text, message, pos):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputSyntaxError, match=re.escape(message)) as info:
+            parse_polynomial(text)
+    assert info.value.position == pos
+    assert caught == []
 
 
 def test_integers_beyond_the_digit_limit_are_syntax_errors():
@@ -178,6 +207,85 @@ def test_from_json_obj_raises_only_input_syntax_errors(obj):
 def test_from_json_obj_rejects_malformed_data(obj):
     with pytest.raises(InputSyntaxError):
         BiExpPolynomial.from_json_obj(obj)
+
+
+# ---------------------------------------------------------------------------
+# one-character edits of valid text: the parse stops where the oracle says
+
+
+_POLYNOMIAL_EDITS = list("wxyz+*^ 0123456789") + ["٣", "²", "!", "\xa0"]
+_SPEC_EDITS = list("1/(), 0239 GfSLt") + ["-", "_", "+", "٣", "\xa0"]
+
+
+@st.composite
+def _polynomial_texts(draw):
+    f = draw(polynomials(max_vars=6))
+    monomials = f.to_text().split(" + ")
+    coefficient = draw(st.sampled_from(["", "2*", "10 * "]))
+    return draw(st.sampled_from([" + ", "+", "  +\t"])).join([coefficient + monomials[0], *monomials[1:]])
+
+
+@st.composite
+def _group_specs(draw):
+    f, G = draw(symmetric_pairs())
+    elements = [format_element(g) for g in G.generators]
+    if not elements or draw(st.booleans()):
+        return f, draw(st.sampled_from(["trivial", "Gf", "G0", "SL", " Gf "]))
+    return f, draw(st.sampled_from([", ", " ", ",", " ,\t"])).join(elements)
+
+
+def _edit(draw, text, alphabet):
+    p = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from(alphabet))
+    replace = p < len(text) and draw(st.booleans())
+    return text[:p] + c + text[p + replace:]
+
+
+def _check_edit(parse, text, stop):
+    """The parse succeeds, or fails with exit 2 at the end of the longest
+    valid prefix, or, the text being in the grammar, with exit 3."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            parse(text)
+    except InputSyntaxError as exc:
+        assert exc.position == stop, (text, str(exc), stop)
+    except DomainError as exc:
+        assert stop is None, (text, str(exc), stop)
+    else:
+        assert stop is None, (text, stop)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_polynomial_edits_stop_at_the_longest_valid_prefix(data):
+    text = _edit(data.draw, data.draw(_polynomial_texts()), _POLYNOMIAL_EDITS)
+    _check_edit(parse_polynomial, text, prefix_oracle.polynomial_stop(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_spec_edits_stop_at_the_longest_valid_prefix(data):
+    f, spec = data.draw(_group_specs())
+    text = _edit(data.draw, spec, _SPEC_EDITS)
+    _check_edit(lambda s: parse_group_spec(f, s), text, prefix_oracle.group_spec_stop(text))
+
+
+@pytest.mark.parametrize("text, stop", [
+    ("x^3 + y^3", None), ("x^3 ++ y^3", 5), ("x0^3", 0), ("x1^3 + x100", 7), ("x^3 + ", 6),
+    ("2 * x^3 y", 8), ("x^3 $", 4), ("x^3 3", 4),
+])
+def test_polynomial_oracle_examples(text, stop):
+    assert prefix_oracle.polynomial_stop(text) == stop
+
+
+@pytest.mark.parametrize("spec, stop", [
+    ("1/3(1) 1/3(2)", None), ("1/3(1)1/3(2)", None), (" Gf ", None), ("1/3()", None),
+    ("11/3(1)", 1), ("1/0(1)", 2), ("1/03(1)", None), ("1/3(1,,2)", 6), ("1/3(1),", 7),
+    ("Gx", 1), (" trivia", 7), ("SL,", 2), ("trivial  1/3(1)", 9), ("", 0),
+])
+def test_group_spec_oracle_examples(spec, stop):
+    assert prefix_oracle.group_spec_stop(spec) == stop
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Diagonal symmetry groups: elements, age, pairing, duality."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,7 @@ def test_parse_group_spec_rejects_empty_items():
     ("1/ " + "9" * 5000 + "(1)", "denominator too long", 3),
     ("1/3(1) 1/3(+1)", "invalid component", 11),
     ("1/3(1), 1/3(1" + "0" * 5000 + ")", "component too long", 12),
+    ("1/3(1, " + "9" * 5000 + ")", "component too long", 7),
 ])
 def test_group_spec_errors_point_into_the_spec(spec, message, pos):
     f = parse_polynomial("x^3")
@@ -192,6 +194,11 @@ def test_group_spec_errors_point_into_the_spec(spec, message, pos):
     ("x^3", "1/3(1),", "invalid group spec", 7),
     ("x^3 + y^3", "1/3(1_0,+2)", "invalid component", 5),
     ("x^3 + y^3", "1/3(-1,2)", "invalid component", 4),
+    # the whole spec is read before any element's arity, whatever the polynomial
+    ("x^3 + y^3", "1/3(1,,2)", "invalid component", 6),
+    ("x^3 + y^3 + z^3", "1/3(1,,2)", "invalid component", 6),
+    ("x^3 + y^3 + z^3", "1/3(1 1)", "invalid component", 6),
+    ("x^3", "1/3(1,2) 1/3(1,,2)", "invalid component", 15),
     # a start of trivial, Gf, G0 or SL runs as far as the name goes, and a
     # whole name as far as the whitespace after it
     ("x^3", "Gx", "invalid group spec", 1),
@@ -204,6 +211,17 @@ def test_group_spec_errors_point_into_the_spec(spec, message, pos):
 def test_group_spec_syntax_errors_point_at_the_first_bad_character(poly, spec, message, pos):
     with pytest.raises(InputSyntaxError, match=message) as info:
         parse_group_spec(parse_polynomial(poly), spec)
+    assert info.value.position == pos
+
+
+@pytest.mark.parametrize("text, n, message, pos", [
+    ("1/3(1,,2)", 2, "invalid component in '1/3(1,,2)'", 6),
+    ("1/3(1 1)", 3, "invalid component in '1/3(1 1)'", 6),
+    ("1/3(1) x", 2, "expected an element", 7),
+])
+def test_element_syntax_is_checked_before_arity(text, n, message, pos):
+    with pytest.raises(InputSyntaxError, match=re.escape(message)) as info:
+        parse_element(text, n)
     assert info.value.position == pos
 
 
