@@ -280,6 +280,26 @@ MUTANTS = (
         "    lhs = {e + (e == min(degree_counts(f))): c for e, c in degree_counts(f).items()}\n",
         ("tests/test_basis_engine.py::test_spectrum_identity",),
     ),
+    # the listing path: each locus's basis filtered under its tests, psi solved once per locus
+    (
+        "sector filter skipping the last test",
+        "basis_engine.py",
+        "% den for den, vec in tests)",
+        "% den for den, vec in tests[:-1])",
+        (
+            "tests/test_basis_engine.py::test_sectors_of_diag44_grading_group",
+            "tests/test_basis_engine.py::test_pair_table_transpose_symmetry",
+            "tests/test_basis_engine.py::test_pair_table_equals_the_per_element_oracle_on_ladder",
+            "tests/test_sector_classes.py::test_engines_match_per_element_reference",
+        ),
+    ),
+    (
+        "pair table reusing one locus's images for every locus",
+        "basis_engine.py",
+        "        locus = sec.fixed\n",
+        "        locus = len(sec.fixed)\n",
+        ("tests/test_basis_engine.py::test_pair_table_equals_the_per_element_oracle_on_ladder",),
+    ),
     # the psi check's image profiles on the lattice of each atom's dual group
     (
         "psi check: chains counted against all elements",

@@ -30,21 +30,24 @@ early as the group allows: with SL, whose lattice rows all reach the last
 coordinate, that locus holds at most 10 entries, where the rows as they
 stand held 10,000 after the fourth atom.
 
-Explicit monomials remain where the pairing table needs them (`sectors`,
-`pair_table`).  The same basis carries a combinatorial map into
+Explicit monomials, plain exponent tuples, remain where the pairing table
+needs them: `milnor_basis` lists them and `sectors` keeps those of each
+locus that pass its tests.  The same basis carries a combinatorial map into
 the symmetry group of the transposed polynomial: k |-> psi(k), the solution
 x of E^T * x = k + 1 taken mod 1 (the fractional part of (k+1)^T * E^(-1)).
 Pairing each invariant monomial in sector g with the zero-extension of
 psi(k) yields the sector pairing table, the structure that transposes under
-(f, G) <-> (transpose, dual group).  `psi_structure_ok` checks psi per atom
-on the lattice of the atom's transposed group.
+(f, G) <-> (transpose, dual group).  psi(k) depends on g only through its
+fixed locus, so `pair_table` solves it once per locus and monomial.
+`psi_structure_ok` checks psi per atom on the lattice of the atom's
+transposed group.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 from operator import mul
@@ -67,30 +70,12 @@ from .symmetry import (
     AbelianSubgroup,
     GroupElement,
     Tests,
-    character_invariant,
     dual_group,
     format_element,
     gf_group,
     locus_ages,
     sorted_elements,
 )
-
-
-@total_ordering
-class BasisMonomial(_Value):
-    """Exponent tuple of one Milnor-ring basis monomial and its degree l = sum
-    q_i*(k_i + 1) as `ell` = l*d, d the weights' common denominator; monomials
-    order by (exps, ell)."""
-
-    __slots__ = _fields = ("exps", "ell")
-
-    def __init__(self, exps: tuple[int, ...], ell: int):
-        self._set(exps=exps, ell=ell)
-
-    def __lt__(self, other: BasisMonomial) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.exps, self.ell) < (other.exps, other.ell)
 
 
 def _chain_excluded(k: tuple[int, ...], a: tuple[int, ...]) -> bool:
@@ -124,12 +109,12 @@ def atom_basis(atom: Atom) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
-    """Monomial basis of the Milnor ring of f, atom by atom.
+def milnor_basis(f: InvertiblePolynomial) -> tuple[tuple[int, ...], ...]:
+    """Monomial basis of the Milnor ring of f: the exponent tuples that put
+    one atom-basis tuple on each atom's variables, sorted.
 
-    The zero-variable polynomial has the single empty monomial of degree 0.
+    The zero-variable polynomial has the single empty monomial.
     """
-    w = weights(f).w
     per_atom = [(atom.var_indices, atom_basis(atom)) for atom in f.atoms]
     out = []
     for combo in product(*(ks for _, ks in per_atom)):
@@ -137,7 +122,7 @@ def milnor_basis(f: InvertiblePolynomial) -> tuple[BasisMonomial, ...]:
         for (idxs, _), k in zip(per_atom, combo):
             for i, v in zip(idxs, k):
                 exps[i] = v
-        out.append(BasisMonomial(tuple(exps), sum(w[i] * (exps[i] + 1) for i in range(f.n))))
+        out.append(tuple(exps))
     out.sort()
     if len(out) != milnor_number(f):
         raise VerificationError(
@@ -256,23 +241,17 @@ def spectrum_identity_holds(f: InvertiblePolynomial) -> bool:
 
 
 class SectorContribution(_Value):
-    """One group element with its fixed coordinates and the G-invariant
-    basis monomials of the restricted polynomial (exponents are indexed by
-    the sorted fixed coordinates)."""
+    """One group element with its fixed coordinates and the exponent tuples
+    of the G-invariant basis monomials of f restricted to them, indexed by
+    the sorted fixed coordinates; the elements of one fixed locus share one
+    tuple of monomials."""
 
     __slots__ = _fields = ("g", "fixed", "monomials")
 
     def __init__(
-        self, g: GroupElement, fixed: tuple[int, ...], monomials: tuple[BasisMonomial, ...]
+        self, g: GroupElement, fixed: tuple[int, ...], monomials: tuple[tuple[int, ...], ...]
     ):
         self._set(g=g, fixed=fixed, monomials=monomials)
-
-
-def _invariant_basis(fsub: InvertiblePolynomial, chardata: Tests) -> tuple[BasisMonomial, ...]:
-    """The basis monomials k of fsub whose character k + 1 is G-invariant."""
-    return tuple(
-        m for m in milnor_basis(fsub) if character_invariant(chardata, [e + 1 for e in m.exps])
-    )
 
 
 def _loci(
@@ -293,10 +272,18 @@ def _loci(
 
 @lru_cache(maxsize=None)
 def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribution, ...]:
-    """Every element of G, in sorted order, with its invariant monomials,
-    filtered once per fixed locus.  Only the sector pairing table needs the
-    monomials themselves; `hodge_table` counts them."""
-    bases = {fixed: _invariant_basis(fsub, tests) for fixed, fsub, tests, _ in _loci(f, G)}
+    """Every element of G, in sorted order, with its invariant monomials:
+    the basis monomials k of f on each fixed locus whose character k + 1
+    passes every test of the locus, filtered once per locus.  Only the
+    sector pairing table needs the monomials themselves; `hodge_table`
+    counts them."""
+    bases = {
+        fixed: tuple(
+            k for k in milnor_basis(fsub)
+            if not any(sum((e + 1) * v for e, v in zip(k, vec)) % den for den, vec in tests)
+        )
+        for fixed, fsub, tests, _ in _loci(f, G)
+    }
     out = []
     for g in sorted_elements(G):
         fixed = g.fixed_indices()
@@ -371,26 +358,33 @@ class PairTable(_Value):
 def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
     """Count invariant monomials by (sector, psi image zero-extended).
 
-    Every image is checked to land in the dual group; the table of the dual
-    pair is this table with the two columns swapped, which the test suite
-    exercises as the main structural duality check.
+    psi(k) depends on a sector only through its fixed locus, so each locus's
+    images are solved, and checked to land in the dual group, once; every
+    element of the locus reuses their counts.  The table of the dual pair is
+    this table with the two columns swapped, which the test suite exercises
+    as the main structural duality check.
     """
     Gd = dual_group(f, G)
+    images: dict[tuple[int, ...], Counter] = {}
     rows: dict[tuple[GroupElement, GroupElement], int] = {}
     for sec in sectors(f, G):
-        fsub = restrict(f, sec.fixed)
-        for m in sec.monomials:
-            h = psi(fsub, m.exps)
-            a = [0] * f.n
-            for j, i in enumerate(sec.fixed):
-                a[i] = h.a[j]
-            gt = GroupElement(h.r, a)
-            if gt not in Gd:
-                raise VerificationError(
-                    f"psi image {format_element(gt)} is not in the dual group {Gd}"
-                )
-            key = (sec.g, gt)
-            rows[key] = rows.get(key, 0) + 1
+        locus = sec.fixed
+        if locus not in images:
+            fsub = restrict(f, sec.fixed)
+            counts = images[locus] = Counter()
+            for k in sec.monomials:
+                h = psi(fsub, k)
+                a = [0] * f.n
+                for j, i in enumerate(sec.fixed):
+                    a[i] = h.a[j]
+                gt = GroupElement(h.r, a)
+                if gt not in Gd:
+                    raise VerificationError(
+                        f"psi image {format_element(gt)} is not in the dual group {Gd}"
+                    )
+                counts[gt] += 1
+        for gt, count in images[locus].items():
+            rows[sec.g, gt] = count
     return PairTable(rows)
 
 

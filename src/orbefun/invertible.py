@@ -235,7 +235,7 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     """
     lex = _Lexer(_POLYNOMIAL_GRAMMAR, text)
     if lex.peek()[0] == "end":
-        raise InputSyntaxError("empty polynomial", 0)
+        raise InputSyntaxError("empty polynomial", lex.peek()[2])
     coefficients: list[tuple[int, int]] = []  # (value, position)
     terms: list[list[tuple[str, int]]] = []
     while True:

@@ -548,10 +548,3 @@ def character_data(G: AbelianSubgroup, fixed: tuple[int, ...]) -> Tests:
         out.append((N // scale, tuple(x // scale for x in reversed(row))))
     return tuple(out)
 
-
-def character_invariant(chardata: Tests, c: Sequence[int]) -> bool:
-    """Whether the character tuple c passes every test in `chardata`."""
-    for den, vec in chardata:
-        if sum(ci * vi for ci, vi in zip(c, vec)) % den:
-            return False
-    return True

@@ -6,8 +6,8 @@ time, with no regex and nothing from the package, and return the end of the
 longest valid prefix, or None when the whole text is in the grammar.  A
 variable name and a denominator are judged whole, as the parsers read them:
 an invalid name (x0, x100, x٣) or a zero denominator ends the valid prefix
-at its first character.  Out of scope: a blank polynomial, which the parser
-reports as empty at 0, and integers past `int()`'s digit limit.
+at its first character, and a blank text is a valid prefix that ends at its
+end.  Out of scope: integers past `int()`'s digit limit.
 """
 
 # the polynomial grammar: after what the text so far ends with, the state

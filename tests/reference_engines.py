@@ -11,8 +11,12 @@ fixed loci are checked against them on small groups.
 over character tuples, the oracle for its one-pass-per-coordinate
 replacement.  `locus_degree_counts` reads the degrees of each locus's
 invariant monomials off the per-element filter in `sectors`, the oracle for
-the basis engine's per-atom count.
+the basis engine's per-atom count; each degree is summed here from the
+monomial's exponents and f's weights.
 
+`pair_table` is the pairing table as first written: one psi per element
+and invariant monomial, solved in Fractions (`reference_symmetry.solve`)
+and checked against G's generators with the oracle's own pairing.
 `expected_multiplicity` is the predicted value of every pair-table row,
 which the pair tables are checked against.
 
@@ -25,8 +29,10 @@ the form the carriers' constructors take.
 
 The oracles read `raw_character_data`, the lattice rows restricted to each
 locus as they stand, and not the Hermite-form tests that both engines read
-from `symmetry.character_data`: a fault in that reduction then shows as a
-disagreement with the oracles, not hidden behind the engines' agreement.
+from `symmetry.character_data`, and test a character with their own
+`invariant`: a fault in that reduction or in the package's filter then
+shows as a disagreement with the oracles, not hidden behind the engines'
+agreement.
 """
 
 from collections import Counter
@@ -35,9 +41,10 @@ from math import comb, gcd, lcm
 
 from orbefun.basis_engine import SectorContribution, milnor_basis
 from orbefun.efunction import BiExpPolynomial, HodgeTable
-from orbefun.errors import ModeError
-from orbefun.invertible import InvertiblePolynomial, restrict, weights
-from orbefun.symmetry import AbelianSubgroup, GroupElement, character_invariant, sorted_elements
+from orbefun.errors import ModeError, VerificationError
+from orbefun.invertible import InvertiblePolynomial, restrict, transpose, weights
+from orbefun.symmetry import AbelianSubgroup, GroupElement, sorted_elements
+import reference_symmetry
 
 
 def raw_character_data(
@@ -60,6 +67,11 @@ def raw_character_data(
         scale = gcd(N, *nums)
         out.append((N // scale, tuple(x // scale for x in nums)))
     return tuple(out)
+
+
+def invariant(chardata: tuple[tuple[int, tuple[int, ...]], ...], c) -> bool:
+    """Whether the character tuple c passes every test (D, v) in `chardata`."""
+    return all(sum(ci * vi for ci, vi in zip(c, vec)) % den == 0 for den, vec in chardata)
 
 
 def invariant_sector_series(
@@ -127,20 +139,16 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
         if fsub.n:
             assert weights(fsub).q == tuple(qf[i] for i in fixed)
         chardata = raw_character_data(G, fixed)
-        mons = tuple(
-            m
-            for m in milnor_basis(fsub)
-            if character_invariant(chardata, [e + 1 for e in m.exps])
-        )
+        mons = tuple(k for k in milnor_basis(fsub) if invariant(chardata, [e + 1 for e in k]))
         out.append(SectorContribution(g, fixed, mons))
     return tuple(out)
 
 
 def _degrees(f: InvertiblePolynomial, sec: SectorContribution) -> list[Fraction]:
-    """The degrees l of the sector's invariant monomials, as Fractions: each
-    `ell` is l times the weights' denominator of f on the fixed locus."""
-    d = weights(restrict(f, sec.fixed)).d
-    return [Fraction(m.ell, d) for m in sec.monomials]
+    """The degrees l = sum q_i*(k_i + 1) of the sector's invariant monomials
+    k, with q the weights of f on the fixed coordinates."""
+    q = [weights(f).q[i] for i in sec.fixed]
+    return [sum((qi * (e + 1) for qi, e in zip(q, k)), Fraction(0)) for k in sec.monomials]
 
 
 def locus_degree_counts(
@@ -193,6 +201,30 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
             elif key in terms:
                 del terms[key]
     return BiExpPolynomial(*numerators(terms))
+
+
+def pair_table(
+    f: InvertiblePolynomial, G: AbelianSubgroup
+) -> dict[tuple[GroupElement, GroupElement], int]:
+    """(sector element, psi image zero-extended) -> number of the sector's
+    invariant monomials with that image, one psi per element and monomial.
+
+    psi(k) on the locus I solves E_I^T * x = k + 1; every image must pair to
+    zero with each generator of G, which puts it in the dual group.
+    """
+    rows: dict[tuple[GroupElement, GroupElement], int] = {}
+    for sec in sectors(f, G):
+        ft = transpose(restrict(f, sec.fixed))
+        for k in sec.monomials:
+            x = reference_symmetry.solve(ft, [e + 1 for e in k])
+            comps = [Fraction(0)] * f.n
+            for j, i in enumerate(sec.fixed):
+                comps[i] = x[j]
+            gt = reference_symmetry.element(comps)
+            if any(reference_symmetry.pairing(f, g, gt) for g in G.generators):
+                raise VerificationError(f"psi image {gt} is not in the dual group")
+            rows[sec.g, gt] = rows.get((sec.g, gt), 0) + 1
+    return rows
 
 
 def expected_multiplicity(f: InvertiblePolynomial, g: GroupElement, gt: GroupElement) -> int:

@@ -65,9 +65,9 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     monomial, unmatched exponent patterns).
     """
     toks = _tokenize_polynomial(text)
-    if not toks:
-        raise InputSyntaxError("empty polynomial", 0)
     end = len(text)
+    if not toks:
+        raise InputSyntaxError("empty polynomial", end)
     k = 0
 
     def peek() -> tuple[str, object, int]:

@@ -185,7 +185,8 @@ def test_criterion_10_counting(corpus):
             product *= 1 / q - 1
         if len(basis) != product or len(basis) != milnor_number(f):
             failures.append((f.to_text(), "count"))
-        degrees = sorted(Fraction(m.ell, weights(f).d) for m in basis)
+        q = weights(f).q
+        degrees = sorted(sum(qi * (e + 1) for qi, e in zip(q, k)) for k in basis)
         mirrored = sorted(Fraction(f.n) - d for d in degrees)
         if degrees != mirrored:
             failures.append((f.to_text(), "palindrome"))

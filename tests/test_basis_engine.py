@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbefun import (
     basis_engine,
@@ -27,10 +28,11 @@ from orbefun.basis_engine import (
 )
 from orbefun.invertible import milnor_number, weights
 from orbefun.symmetry import AbelianSubgroup, dual_group, gf_group, parse_element, subgroup
+import reference_engines as ref
 from reference_engines import expected_multiplicity
 from reference_symmetry import identity
-from strategies import polynomials, symmetric_pairs
-from test_series_engine import LADDER
+from strategies import interleaved_polynomials, polynomials, symmetric_pairs
+from test_series_engine import GROUPS, LADDER, _sides
 
 F = Fraction
 
@@ -59,14 +61,10 @@ def test_atom_basis_counts():
 
 def test_milnor_basis_chain_3_2():
     f = parse_polynomial("x^3*y + y^2")
-    basis = milnor_basis(f)
-    assert len(basis) == 5
-    assert {m.exps for m in basis} == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)}
-    by_exp = {m.exps: m.ell for m in basis}  # degrees over d = 6
+    assert milnor_basis(f) == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
+    # degrees sum w_i*(k_i + 1) over d = 6, w = (1, 3): x^k1*y^k2 sits at 4 + k1 + 3*k2
     assert weights(f).d == 6
-    assert by_exp[(0, 0)] == 4
-    assert by_exp[(2, 0)] == 6
-    assert by_exp[(1, 1)] == 8
+    assert degree_counts(f) == {4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
 
 
 def test_degree_multiset_is_palindromic():
@@ -88,13 +86,11 @@ def test_sectors_of_diag44_grading_group():
     secs = {s.g: s for s in sectors(f, G)}
     assert len(secs) == 4
     free = secs[identity(2)]
-    assert {m.exps for m in free.monomials} == {(0, 2), (1, 1), (2, 0)}
-    assert all(m.ell == weights(f).d for m in free.monomials)
+    assert free.monomials == ((0, 2), (1, 1), (2, 0))  # each of degree 1
     # the two age-J sectors contribute one empty monomial each
     twisted = secs[parse_element("1/4(1,1)", 2)]
     assert twisted.fixed == ()
-    assert len(twisted.monomials) == 1
-    assert twisted.monomials[0].ell == 0
+    assert twisted.monomials == ((),)
 
 
 def test_hodge_tables_match_hand_computations():
@@ -139,8 +135,8 @@ def test_psi_lands_in_dual_symmetry_group():
     f = parse_polynomial("x^2*y + y^2*z + z^3")
     ft = transpose(f)
     Gt = gf_group(ft)
-    for m in milnor_basis(f):
-        assert psi(f, m.exps) in Gt
+    for k in milnor_basis(f):
+        assert psi(f, k) in Gt
 
 
 def test_psi_structure_lists_no_group_element_and_no_basis(monkeypatch):
@@ -207,7 +203,9 @@ def test_pair_table_row_parity_identity():
 @settings(max_examples=25, deadline=None)
 @given(polynomials())
 def test_basis_size_is_milnor_number(f):
-    assert len(milnor_basis(f)) == milnor_number(f)
+    basis = milnor_basis(f)
+    assert len(basis) == milnor_number(f)
+    assert list(basis) == sorted(set(basis))
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,12 +225,59 @@ def test_pair_table_total_and_transpose_random(fG):
         assert m == expected_multiplicity(f, g, gt)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(symmetric_pairs(), symmetric_pairs(polys=interleaved_polynomials)),
+    st.booleans(),
+)
+def test_pair_table_equals_the_per_element_oracle(fG, dual):
+    p, H = _sides(*fG)[dual]
+    assert pair_table(p, H).rows == ref.pair_table(p, H)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+@pytest.mark.parametrize("text", ("x^3*y + y^2 + z^2*w + w^3*z", "x^2*w + z^3 + w^2*y + y^2*x"))
+def test_pair_table_equals_the_per_element_oracle_on_ladder(text, spec):
+    # the chain-and-loop polynomial has loci of one size with different
+    # images on every group, on one side of the duality or the other
+    f = parse_polynomial(text)
+    for p, H in _sides(f, parse_group_spec(f, spec)):
+        assert pair_table(p, H).rows == ref.pair_table(p, H)
+
+
+def _psi_calls(monkeypatch, f, G):
+    """The psi solves one `pair_table(f, G)` makes."""
+    calls = []
+    real = basis_engine.psi
+    with monkeypatch.context() as mp:
+        mp.setattr(basis_engine, "psi", lambda fsub, k: calls.append(k) or real(fsub, k))
+        pair_table(f, G)
+    return len(calls)
+
+
+@pytest.mark.parametrize("text, spec, solves", [
+    ("x1^7 + x2^7 + x3^7 + x4^7 + x5^7", "Gf", (1, 7776)),
+    ("x1^3 + x2^3 + x3^3", "trivial", (8, 1)),
+    ("x^2*y + y^2*x + z^2*w + w^2*z", "1/3(1,1,0,0)", (12, 12)),
+    ("x^3*y + y^2 + z^2*w + w^3*z", "G0", (6, 24)),
+])
+def test_pair_table_solves_psi_once_per_locus_monomial(monkeypatch, text, spec, solves):
+    # psi(k) depends on a sector only through its fixed locus: fermat7's Gf
+    # has 7,776 elements on the locus (), whose one empty monomial needs one
+    # solve; solves are counted for the pair and for its dual
+    f = parse_polynomial(text)
+    for (p, H), expected in zip(_sides(f, parse_group_spec(f, spec)), solves):
+        per_locus = {sec.fixed: len(sec.monomials) for sec in sectors(p, H)}
+        assert _psi_calls(monkeypatch, p, H) == sum(per_locus.values()) == expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(polynomials(max_vars=3))
 def test_degree_law_for_psi(f):
-    for m in milnor_basis(f):
-        im = psi(f, m.exps)
-        assert F(m.ell, weights(f).d) == im.age + F(im.n_fixed, 2)
+    q = weights(f).q
+    for k in milnor_basis(f):
+        im = psi(f, k)
+        assert sum(qi * (e + 1) for qi, e in zip(q, k)) == im.age + F(im.n_fixed, 2)
 
 
 def test_cached_values_are_read_only():

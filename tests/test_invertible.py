@@ -82,8 +82,11 @@ def test_parse_syntax_errors_carry_positions():
     with pytest.raises(InputSyntaxError) as err:
         parse_polynomial("x^3 +")
     assert err.value.position == 5
-    with pytest.raises(InputSyntaxError):
-        parse_polynomial("")
+    # a blank text is incomplete too, so it is reported at its end
+    for blank in ("", "   ", " \t\n "):
+        with pytest.raises(InputSyntaxError, match="empty polynomial") as err:
+            parse_polynomial(blank)
+        assert err.value.position == len(blank)
     with pytest.raises(InputSyntaxError):
         parse_polynomial("x^")
     with pytest.raises(InputSyntaxError):

@@ -79,7 +79,8 @@ def test_parse_polynomial_matches_reference(text):
 
 def test_reference_agrees_on_documented_samples():
     for text in ("x^3*y + y^2", "2*x^3 + y^3", "x1^5 + x2^5 + x3^5 + x4^5 + x5^5",
-                 "x^٣ + y^2", "x٣^3 + y^2", "x^2*y + y^2*x", "x0^3", "x^3 +", "x^3 ! x0"):
+                 "x^٣ + y^2", "x٣^3 + y^2", "x^2*y + y^2*x", "x0^3", "x^3 +", "x^3 ! x0",
+                 "", "   ", " \t\xa0"):
         _check_against_reference(text, ref.parse_polynomial, parse_polynomial)
 
 
@@ -273,10 +274,11 @@ def test_group_spec_edits_stop_at_the_longest_valid_prefix(data):
 
 @pytest.mark.parametrize("text, stop", [
     ("x^3 + y^3", None), ("x^3 ++ y^3", 5), ("x0^3", 0), ("x1^3 + x100", 7), ("x^3 + ", 6),
-    ("2 * x^3 y", 8), ("x^3 $", 4), ("x^3 3", 4),
+    ("2 * x^3 y", 8), ("x^3 $", 4), ("x^3 3", 4), ("", 0), ("   ", 3), (" \t\n", 3),
 ])
 def test_polynomial_oracle_examples(text, stop):
     assert prefix_oracle.polynomial_stop(text) == stop
+    _check_edit(parse_polynomial, text, stop)
 
 
 @pytest.mark.parametrize("spec, stop", [

@@ -48,9 +48,9 @@ def check_solver(f):
         for j in range(n):
             assert sum(E[i][k] * inv[k][j] for k in range(n)) == int(i == j)
     adj = adjugate(E)
-    for m in milnor_basis(f):
-        row = [sum((m.exps[i] + 1) * adj[i][j] for i in range(n)) for j in range(n)]
-        assert psi(f, m.exps) == ref.element(F(v, det) for v in row)
+    for k in milnor_basis(f):
+        row = [sum((k[i] + 1) * adj[i][j] for i in range(n)) for j in range(n)]
+        assert psi(f, k) == ref.element(F(v, det) for v in row)
 
 
 def test_interleaved_examples():

@@ -1,6 +1,6 @@
 """The value types: immutable, equal by their fields, hashed by them except
 the three result tables, which are unhashable (the corpus records equal
-only themselves), and BasisMonomial ordered by (exps, ell)."""
+only themselves), and GroupElement ordered only against its own class."""
 
 import atexit
 import contextlib
@@ -19,14 +19,7 @@ from hypothesis import given, settings
 
 import orbefun
 from orbefun import DomainError, parse_polynomial, transpose
-from orbefun.basis_engine import (
-    BasisMonomial,
-    efunction_basis,
-    hodge_table,
-    milnor_basis,
-    pair_table,
-    sectors,
-)
+from orbefun.basis_engine import efunction_basis, hodge_table, pair_table, sectors
 from orbefun.cli import main
 from orbefun.corpus import CorpusEntry, run_entry
 from orbefun.efunction import BiExpPolynomial, HodgeTable
@@ -58,7 +51,6 @@ def test_values_differ_in_any_field():
     Gx, Gy = gf_group(parse_polynomial("x^3")), gf_group(parse_polynomial("y^3"))
     assert (Gx.N, Gx.rows) == (Gy.N, Gy.rows) and Gx != Gy  # one lattice, two ambients
     f = parse_polynomial("x^2*y + y^3")
-    assert BasisMonomial((1,), 3) != BasisMonomial((1,), 2)
     atom = f.atoms[0]
     assert f != atom and atom != (atom.kind, atom.var_indices, atom.a)
     assert GroupElement(3, (1, 2)) != GroupElement(5, (1, 2))
@@ -89,7 +81,6 @@ def _one_of_each_value_type():
         f,
         G,
         G.generators[0],
-        milnor_basis(f)[0],
         sectors(f, G)[0],
         efunction_basis(f, G),
         hodge_table(f, G),
@@ -102,7 +93,7 @@ def _one_of_each_value_type():
 def test_every_value_type_is_immutable():
     values = _one_of_each_value_type()
     assert sorted(type(v).__name__ for v in values) == sorted(
-        "Atom WeightSystem InvertiblePolynomial AbelianSubgroup GroupElement BasisMonomial "
+        "Atom WeightSystem InvertiblePolynomial AbelianSubgroup GroupElement "
         "SectorContribution BiExpPolynomial HodgeTable PairTable CorpusEntry EntryResult".split()
     )
     for value in values:
@@ -147,7 +138,7 @@ def test_no_value_type_stores_a_fraction():
         stored = list(_stored(value))
         assert not [x for x in stored if isinstance(x, Fraction)], type(value).__name__
     stored_types = {type(x).__name__ for v in values for x in _stored(v)}
-    assert {"GroupElement", "WeightSystem", "BasisMonomial", "CorpusEntry"} <= stored_types
+    assert {"GroupElement", "WeightSystem", "CorpusEntry"} <= stored_types
 
 
 def test_values_compare_only_with_their_own_class():
@@ -166,8 +157,8 @@ def test_values_compare_only_with_their_own_class():
 
 
 def test_ordered_values_compare_only_with_their_own_class():
-    g, m = GroupElement(3, (1, 2)), BasisMonomial((1, 0), 3)
-    for value, other in ((g, 1), (g, None), (g, m), (m, 1), (m, None), (m, g)):
+    g = GroupElement(3, (1, 2))
+    for value, other in ((g, 1), (g, None), (g, (3, (1, 2)))):
         for op in (operator.lt, operator.gt, operator.le):
             with pytest.raises(TypeError):
                 op(value, other)
@@ -212,22 +203,6 @@ def test_carriers_take_only_a_positive_denominator():
         with pytest.raises(ValueError):
             HodgeTable(1, den, {(1, 0): (1, 0)})
     assert (BiExpPolynomial(1, {(0, 0): 3}).nums, HodgeTable(1, 1, {}).den) == ({(0, 0): 3}, 1)
-
-
-def test_basis_monomials_sort_by_exps_then_ell():
-    mons = [
-        BasisMonomial((1, 0), 3),
-        BasisMonomial((0, 2), 5),
-        BasisMonomial((0, 2), 1),
-        BasisMonomial((1,), 2),
-        BasisMonomial((0, 0), 4),
-    ]
-    assert sorted(mons) == sorted(mons, key=lambda m: (m.exps, m.ell))
-    assert [m.exps for m in sorted(mons)] == [(0, 0), (0, 2), (0, 2), (1,), (1, 0)]
-    assert sorted(mons)[1].ell == 1
-    assert max(mons) == mons[0] and mons[2] <= mons[1] < mons[0]
-    basis = milnor_basis(parse_polynomial("x^3*y + y^2*z + z^4"))
-    assert list(basis) == sorted(basis, key=lambda m: (m.exps, m.ell))
 
 
 def test_atom_rejects_a_bad_kind_or_length():
