@@ -18,8 +18,9 @@ COMMANDS under every group in GROUPS, each in text and JSON; for every
 polynomial and group, `check-duality --engine series` in text, so that the
 series engine's output is checked on its own and not only against the basis
 engine's; `dual` and `check-duality` on two groups given by generator lists;
-three large pairs; the bundled corpus in text and JSON; and a few inputs that
-must fail with their exit code.
+three large pairs; the bundled corpus in text and JSON; a few inputs that
+must fail with their exit code; and last, `check-duality --engine basis`
+once, so that the basis engine's output is checked on its own too.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ def ladder():
     for fmt in FORMATS:
         yield ("corpus", "--format", fmt)
     yield from FAILURES
+    yield ("check-duality", "x^3*y + y^2 + z^2*w + w^3*z", "--group", "G0", "--engine", "basis")
 
 
 def record(args: tuple[str, ...], code: int, stdout: bytes, stderr: bytes) -> bytes:

@@ -163,6 +163,16 @@ MUTANTS = (
         (LATTICES + "test_greedy_generators_are_the_rows_last_first",),
     ),
     (
+        "sorted elements left in lattice order",
+        "symmetry.py",
+        "    return tuple(GroupElement(G.N, v) for v in sorted(_numerators(G)))",
+        "    return tuple(GroupElement(G.N, v) for v in _numerators(G))",
+        (
+            "tests/test_sector_classes.py::test_sorted_elements_follow_fraction_order",
+            "tests/test_basis_engine.py::test_pair_table_iterates_in_printed_order",
+        ),
+    ),
+    (
         "locus_ages residues not taken mod N",
         "symmetry.py",
         "                tail = tuple((u + v) % N for u, v in zip(tail, step))",
@@ -294,11 +304,18 @@ MUTANTS = (
         ),
     ),
     (
-        "pair table reusing one locus's images for every locus",
+        "pair table reusing one locus's images for every locus of its size",
         "basis_engine.py",
-        "        locus = sec.fixed\n",
-        "        locus = len(sec.fixed)\n",
-        ("tests/test_basis_engine.py::test_pair_table_equals_the_per_element_oracle_on_ladder",),
+        "        images[fixed] = sorted(counts.items())\n"
+        "    return MappingProxyType({\n"
+        "        (g, gt): count for g in sorted_elements(G) for gt, count in images[g.fixed_indices()]\n",
+        "        images[len(fixed)] = sorted(counts.items())\n"
+        "    return MappingProxyType({\n"
+        "        (g, gt): count for g in sorted_elements(G) for gt, count in images[len(g.fixed_indices())]\n",
+        (
+            "tests/test_basis_engine.py::test_pair_table_equals_the_per_element_oracle",
+            "tests/test_basis_engine.py::test_pair_table_equals_the_per_element_oracle_on_ladder",
+        ),
     ),
     # the psi check's image profiles on the lattice of each atom's dual group
     (

@@ -31,14 +31,16 @@ coordinate, that locus holds at most 10 entries, where the rows as they
 stand held 10,000 after the fourth atom.
 
 Explicit monomials, plain exponent tuples, remain where the pairing table
-needs them: `milnor_basis` lists them and `sectors` keeps those of each
-locus that pass its tests.  The same basis carries a combinatorial map into
-the symmetry group of the transposed polynomial: k |-> psi(k), the solution
+needs them: `milnor_basis` lists them and `_invariant_bases` keeps those of
+each locus that pass its tests.  The same basis carries a combinatorial map
+into the symmetry group of the transposed polynomial: k |-> psi(k), the solution
 x of E^T * x = k + 1 taken mod 1 (the fractional part of (k+1)^T * E^(-1)).
 Pairing each invariant monomial in sector g with the zero-extension of
 psi(k) yields the sector pairing table, the structure that transposes under
 (f, G) <-> (transpose, dual group).  psi(k) depends on g only through its
-fixed locus, so `pair_table` solves it once per locus and monomial.
+fixed locus, so `pair_table` solves it once per locus and monomial, sorts
+each locus's images once and expands them over the sorted elements of G
+into a read-only map that iterates in printed order.
 `psi_structure_ok` checks psi per atom on the lattice of the atom's
 transposed group.
 """
@@ -270,20 +272,26 @@ def _loci(
         yield fixed, fsub, tests, ages
 
 
-@lru_cache(maxsize=None)
-def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribution, ...]:
-    """Every element of G, in sorted order, with its invariant monomials:
-    the basis monomials k of f on each fixed locus whose character k + 1
-    passes every test of the locus, filtered once per locus.  Only the
-    sector pairing table needs the monomials themselves; `hodge_table`
-    counts them."""
-    bases = {
+def _invariant_bases(
+    f: InvertiblePolynomial, G: AbelianSubgroup
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Each fixed locus I of G -> the basis monomials k of f on I whose
+    character k + 1 passes every test of I, filtered once per locus."""
+    return {
         fixed: tuple(
             k for k in milnor_basis(fsub)
             if not any(sum((e + 1) * v for e, v in zip(k, vec)) % den for den, vec in tests)
         )
         for fixed, fsub, tests, _ in _loci(f, G)
     }
+
+
+@lru_cache(maxsize=None)
+def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribution, ...]:
+    """Every element of G, in sorted order, with the invariant monomials of
+    its fixed locus.  No command reads this list: `hodge_table` counts each
+    locus's monomials and `pair_table` reads them per locus."""
+    bases = _invariant_bases(f, G)
     out = []
     for g in sorted_elements(G):
         fixed = g.fixed_indices()
@@ -337,55 +345,34 @@ def psi(f: InvertiblePolynomial, exps: tuple[int, ...]) -> GroupElement:
     return GroupElement(*_solve(transpose(f), [e + 1 for e in exps]))
 
 
-class PairTable(_Value):
-    """Multiset of (sector element, transpose-side element) pairs counted
-    over the invariant basis monomials of every sector; `rows` is read-only."""
-
-    __slots__ = _fields = ("rows",)
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, rows: Mapping[tuple[GroupElement, GroupElement], int]):
-        self._set(rows=MappingProxyType({k: int(v) for k, v in rows.items() if v}))
-
-    def sorted_rows(self) -> list[tuple[tuple[GroupElement, GroupElement], int]]:
-        return sorted(self.rows.items())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"({a}, {b}): {v}" for (a, b), v in self.sorted_rows())
-        return f"PairTable({{{body}}})"
-
-
-def pair_table(f: InvertiblePolynomial, G: AbelianSubgroup) -> PairTable:
-    """Count invariant monomials by (sector, psi image zero-extended).
+def pair_table(
+    f: InvertiblePolynomial, G: AbelianSubgroup
+) -> Mapping[tuple[GroupElement, GroupElement], int]:
+    """Count invariant monomials by (sector, psi image zero-extended), as a
+    read-only map that iterates in sorted order.
 
     psi(k) depends on a sector only through its fixed locus, so each locus's
-    images are solved, and checked to land in the dual group, once; every
-    element of the locus reuses their counts.  The table of the dual pair is
-    this table with the two columns swapped, which the test suite exercises
-    as the main structural duality check.
+    images are solved, checked to land in the dual group and sorted once;
+    the elements of G, listed in order, then each take their locus's images.
+    The table of the dual pair is this table with the two columns swapped,
+    which the test suite exercises as the main structural duality check.
     """
     Gd = dual_group(f, G)
-    images: dict[tuple[int, ...], Counter] = {}
-    rows: dict[tuple[GroupElement, GroupElement], int] = {}
-    for sec in sectors(f, G):
-        locus = sec.fixed
-        if locus not in images:
-            fsub = restrict(f, sec.fixed)
-            counts = images[locus] = Counter()
-            for k in sec.monomials:
-                h = psi(fsub, k)
-                a = [0] * f.n
-                for j, i in enumerate(sec.fixed):
-                    a[i] = h.a[j]
-                gt = GroupElement(h.r, a)
-                if gt not in Gd:
-                    raise VerificationError(
-                        f"psi image {format_element(gt)} is not in the dual group {Gd}"
-                    )
-                counts[gt] += 1
-        for gt, count in images[locus].items():
-            rows[sec.g, gt] = count
-    return PairTable(rows)
+    images = {}
+    for fixed, monomials in _invariant_bases(f, G).items():
+        fsub = restrict(f, fixed)
+        counts: Counter = Counter()
+        for k in monomials:
+            h = psi(fsub, k)
+            on_locus = dict(zip(fixed, h.a))
+            gt = GroupElement(h.r, [on_locus.get(i, 0) for i in range(f.n)])
+            if gt not in Gd:
+                raise VerificationError(f"psi image {format_element(gt)} is not in the dual group {Gd}")
+            counts[gt] += 1
+        images[fixed] = sorted(counts.items())
+    return MappingProxyType({
+        (g, gt): count for g in sorted_elements(G) for gt, count in images[g.fixed_indices()]
+    })
 
 
 def psi_structure_ok(f: InvertiblePolynomial) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import os
 import sys
 import warnings
 
@@ -312,11 +313,11 @@ def cmd_pairs(args) -> int:
         _print_json(
             [
                 {"g": format_element(g), "g_dual": format_element(h), "m": m}
-                for (g, h), m in table.sorted_rows()
+                for (g, h), m in table.items()
             ]
         )
         return 0
-    for (g, h), m in table.sorted_rows():
+    for (g, h), m in table.items():
         print(f"{format_element(g)} | {format_element(h)} | {m}")
     return 0
 
@@ -397,7 +398,13 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+            return code
+        except BrokenPipeError:
+            # the reader wants no more output: the last flush goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         except InputSyntaxError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -50,9 +50,9 @@ closing as early as the group allows; both engines read them from
 Printed generators are the greedy lexicographic choice: each one the least
 element, in Fraction-tuple order, outside the subgroup generated by those
 before it.  Each is a coset minimum, and the Hermite form already holds
-them: they are its rows with pivot below N, last row first.  `elements`
-is listed on each read and stored nowhere; `all_subgroups` and the sector
-list read it once per call.
+them: they are its rows with pivot below N, last row first.  Elements are
+listed on each read and stored nowhere, as numerators over N (`_numerators`),
+whose order over that one denominator is the order of their Fraction tuples.
 """
 
 from __future__ import annotations
@@ -265,14 +265,8 @@ class AbelianSubgroup(_Value):
 
     @property
     def elements(self) -> frozenset[GroupElement]:
-        """Every sum of c_j * row_j / N with 0 <= c_j < N/d_j, each element
-        once; listed anew on each read."""
-        N = self.N
-        vecs = [(0,) * len(self.rows)]
-        for j, row in enumerate(self.rows):
-            steps = [[c * x % N for x in row] for c in range(N // row[j])]
-            vecs = [[(x + y) % N for x, y in zip(v, s)] for v in vecs for s in steps]
-        return frozenset(GroupElement(N, v) for v in vecs)
+        """Every element once; listed anew on each read."""
+        return frozenset(GroupElement(self.N, v) for v in _numerators(self))
 
     def __contains__(self, g: GroupElement) -> bool:
         if g.n != len(self.rows) or self.N % g.r:
@@ -285,10 +279,21 @@ class AbelianSubgroup(_Value):
         return f"<{gens}> of order {self.order}"
 
 
+def _numerators(G: AbelianSubgroup) -> list[tuple[int, ...]]:
+    """Every element of G as its numerators over N: each sum of c_j * row_j
+    mod N with 0 <= c_j < N/d_j, so each element once."""
+    N = G.N
+    vecs = [(0,) * len(G.rows)]
+    for j, row in enumerate(G.rows):
+        steps = [[c * x % N for x in row] for c in range(N // row[j])]
+        vecs = [tuple((x + y) % N for x, y in zip(v, s)) for v in vecs for s in steps]
+    return vecs
+
+
 def sorted_elements(G: AbelianSubgroup) -> tuple[GroupElement, ...]:
-    """The elements in the order of their Fraction tuples: by their
-    numerators over N."""
-    return tuple(sorted(G.elements, key=lambda g: tuple(x * (G.N // g.r) for x in g.a)))
+    """The elements in the order of their Fraction tuples, which over one
+    denominator N is the order of their numerators."""
+    return tuple(GroupElement(G.N, v) for v in sorted(_numerators(G)))
 
 
 def violated_row(f: InvertiblePolynomial, g: GroupElement) -> int | None:
@@ -297,10 +302,6 @@ def violated_row(f: InvertiblePolynomial, g: GroupElement) -> int | None:
         if sum(e * x for e, x in zip(row, g.a)) % g.r:
             return i
     return None
-
-
-def gf_contains(f: InvertiblePolynomial, g: GroupElement) -> bool:
-    return g.n == f.n and violated_row(f, g) is None
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +339,7 @@ def subgroup(f: InvertiblePolynomial, gens: Iterable[GroupElement]) -> AbelianSu
 def grading_operator(f: InvertiblePolynomial) -> GroupElement:
     """The exponential grading operator g0 = (q_1, ..., q_n)."""
     g0 = GroupElement(weights(f).d, weights(f).w)
-    if not gf_contains(f, g0):
+    if violated_row(f, g0) is not None:
         raise VerificationError(f"grading operator {format_element(g0)} is not in G_f")
     return g0
 
@@ -381,7 +382,7 @@ def dual_group(f: InvertiblePolynomial, G: AbelianSubgroup) -> AbelianSubgroup:
 def all_subgroups(G: AbelianSubgroup) -> tuple[AbelianSubgroup, ...]:
     """Every subgroup of G, smallest first (breadth-first lattice walk)."""
     n, N = G.ambient.n, G.N
-    vecs = [[x * (N // g.r) for x in g.a] for g in G.elements]
+    vecs = _numerators(G)
     start = _hnf(N, (), n)
     seen = {start}
     frontier = [start]
@@ -395,7 +396,7 @@ def all_subgroups(G: AbelianSubgroup) -> tuple[AbelianSubgroup, ...]:
                 seen.add(rows)
                 frontier.append(rows)
     subs = [AbelianSubgroup(G.ambient, N, rows) for rows in seen]
-    subs.sort(key=lambda H: (H.order, sorted_elements(H)))
+    subs.sort(key=lambda H: (H.order, sorted(_numerators(H))))
     return tuple(subs)
 
 

@@ -27,12 +27,15 @@ plain Fraction-keyed dicts, dropping zero coefficients as the old
 constructors did.  `numerators` puts such a dict over its own least common denominator,
 the form the carriers' constructors take.
 
-The oracles read `raw_character_data`, the lattice rows restricted to each
-locus as they stand, and not the Hermite-form tests that both engines read
-from `symmetry.character_data`, and test a character with their own
-`invariant`: a fault in that reduction or in the package's filter then
-shows as a disagreement with the oracles, not hidden behind the engines'
-agreement.
+The oracles list a group's elements with `elements`, the closure of its
+generators in `reference_symmetry`, and not with `symmetry.sorted_elements`,
+so a fault in the lattice listing does not reach the engines and the
+oracles together.  They read `raw_character_data`, the lattice rows
+restricted to each locus as they stand, and not the Hermite-form tests that
+both engines read from `symmetry.character_data`, and test a character with
+their own `invariant`: a fault in that reduction or in the package's filter
+then shows as a disagreement with the oracles, not hidden behind the
+engines' agreement.
 """
 
 from collections import Counter
@@ -43,7 +46,7 @@ from orbefun.basis_engine import SectorContribution, milnor_basis
 from orbefun.efunction import BiExpPolynomial, HodgeTable
 from orbefun.errors import ModeError, VerificationError
 from orbefun.invertible import InvertiblePolynomial, restrict, transpose, weights
-from orbefun.symmetry import AbelianSubgroup, GroupElement, sorted_elements
+from orbefun.symmetry import AbelianSubgroup, GroupElement
 import reference_symmetry
 
 
@@ -67,6 +70,12 @@ def raw_character_data(
         scale = gcd(N, *nums)
         out.append((N // scale, tuple(x // scale for x in nums)))
     return tuple(out)
+
+
+def elements(G: AbelianSubgroup) -> list[GroupElement]:
+    """The elements of G in sorted order, closed from its generators by the
+    oracle's own arithmetic rather than listed from its lattice."""
+    return sorted(reference_symmetry.closure(G.ambient.n, G.generators))
 
 
 def invariant(chardata: tuple[tuple[int, tuple[int, ...]], ...], c) -> bool:
@@ -133,7 +142,7 @@ def sectors(f: InvertiblePolynomial, G: AbelianSubgroup) -> tuple[SectorContribu
     assert G.ambient == f
     qf = weights(f).q
     out = []
-    for g in sorted_elements(G):
+    for g in elements(G):
         fixed = g.fixed_indices()
         fsub = restrict(f, fixed)
         if fsub.n:
@@ -187,7 +196,7 @@ def efunction_series(f: InvertiblePolynomial, G: AbelianSubgroup) -> BiExpPolyno
     assert G.ambient == f
     qf = weights(f).q
     terms: dict[tuple[Fraction, Fraction], int] = {}
-    for g in sorted_elements(G):
+    for g in elements(G):
         fixed = g.fixed_indices()
         prefactor = g.age - Fraction(f.n - len(fixed), 2)
         inner = invariant_sector_series(

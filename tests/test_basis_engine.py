@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbefun import (
@@ -163,8 +163,8 @@ def test_pair_table_loop22_trivial():
         (identity(2), parse_element("1/3(1,1)", 2)): 1,
         (identity(2), parse_element("1/3(2,2)", 2)): 1,
     }
-    assert T.rows == rows
-    assert sum(T.rows.values()) == milnor_number(f)
+    assert T == rows
+    assert sum(T.values()) == milnor_number(f)
 
 
 def test_pair_table_transpose_symmetry():
@@ -177,7 +177,7 @@ def test_pair_table_transpose_symmetry():
         G = parse_group_spec(f, spec)
         T = pair_table(f, G)
         Td = pair_table(transpose(f), dual_group(f, G))
-        assert Td.rows == {(b, a): v for (a, b), v in T.rows.items()}
+        assert Td == {(b, a): v for (a, b), v in T.items()}
 
 
 def test_expected_multiplicity_even_loops():
@@ -187,16 +187,16 @@ def test_expected_multiplicity_even_loops():
     G = parse_group_spec(f, "trivial")
     T = pair_table(f, G)
     e = identity(4)
-    assert T.rows[(e, e)] == 4
+    assert T[(e, e)] == 4
     assert expected_multiplicity(f, e, e) == 4
-    for (g, gt), m in T.rows.items():
+    for (g, gt), m in T.items():
         assert m == expected_multiplicity(f, g, gt)
 
 
 def test_pair_table_row_parity_identity():
     f = parse_polynomial("x^4 + y^4")
     G = parse_group_spec(f, "SL")
-    for (g, gt), _ in pair_table(f, G).rows.items():
+    for (g, gt), _ in pair_table(f, G).items():
         assert (-1) ** g.n_fixed == (-1) ** (f.n - gt.n_fixed)
 
 
@@ -219,10 +219,20 @@ def test_spectrum_identity_random(f):
 def test_pair_table_total_and_transpose_random(fG):
     f, G = fG
     T = pair_table(f, G)
-    swapped = {(b, a): v for (a, b), v in T.rows.items()}
-    assert pair_table(transpose(f), dual_group(f, G)).rows == swapped
-    for (g, gt), m in T.rows.items():
+    swapped = {(b, a): v for (a, b), v in T.items()}
+    assert pair_table(transpose(f), dual_group(f, G)) == swapped
+    for (g, gt), m in T.items():
         assert m == expected_multiplicity(f, g, gt)
+
+
+def _pair(text, spec):
+    f = parse_polynomial(text)
+    return f, parse_group_spec(f, spec)
+
+
+# loci of one size whose psi images differ, on one side of the duality or
+# the other, under each of G0, SL and Gf; random draws rarely give them
+CHAIN_LOOP = "x^3*y + y^2 + z^2*w + w^3*z"
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,9 +240,35 @@ def test_pair_table_total_and_transpose_random(fG):
     st.one_of(symmetric_pairs(), symmetric_pairs(polys=interleaved_polynomials)),
     st.booleans(),
 )
+@example(_pair(CHAIN_LOOP, "G0"), False)
+@example(_pair(CHAIN_LOOP, "G0"), True)
+@example(_pair(CHAIN_LOOP, "SL"), False)
+@example(_pair(CHAIN_LOOP, "SL"), True)
+@example(_pair(CHAIN_LOOP, "Gf"), False)
+@example(_pair(CHAIN_LOOP, "Gf"), True)
 def test_pair_table_equals_the_per_element_oracle(fG, dual):
     p, H = _sides(*fG)[dual]
-    assert pair_table(p, H).rows == ref.pair_table(p, H)
+    assert pair_table(p, H) == ref.pair_table(p, H)
+
+
+@settings(max_examples=25, deadline=None)
+@given(symmetric_pairs(), st.booleans())
+# elements listed by their coefficients on the lattice rows come out of order
+@example(_pair("x^4 + y^4", "1/4(1,1), 1/2(0,1)"), False)
+def test_pair_table_iterates_in_printed_order(fG, dual):
+    # `pairs` prints the table as it iterates, sorting nothing
+    T = pair_table(*_sides(*fG)[dual])
+    assert list(T) == sorted(T)
+
+
+def test_pair_table_does_not_walk_the_sectors(monkeypatch):
+    def no_sectors(f, G):
+        raise AssertionError("pair_table read the per-element sector list")
+
+    f, G = _pair(CHAIN_LOOP, "G0")
+    expected = ref.pair_table(f, G)
+    monkeypatch.setattr(basis_engine, "sectors", no_sectors)
+    assert pair_table(f, G) == expected
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -242,7 +278,7 @@ def test_pair_table_equals_the_per_element_oracle_on_ladder(text, spec):
     # images on every group, on one side of the duality or the other
     f = parse_polynomial(text)
     for p, H in _sides(f, parse_group_spec(f, spec)):
-        assert pair_table(p, H).rows == ref.pair_table(p, H)
+        assert pair_table(p, H) == ref.pair_table(p, H)
 
 
 def _psi_calls(monkeypatch, f, G):
@@ -306,5 +342,5 @@ def test_cached_values_are_read_only():
         hodge_table(f, G).n = 7
     T = pair_table(f, G)
     with pytest.raises(TypeError):
-        T.rows[next(iter(T.rows))] = 5
+        T[next(iter(T))] = 5
     assert efunction_basis(f, G) == E == efunction_series(f, G)

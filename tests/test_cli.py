@@ -1,6 +1,7 @@
 """Exit-code contract and output formats of the command line tool."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -305,6 +306,31 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(t*tb)^(-1/6) + (t*tb)^(1/6)"
+
+
+@pytest.mark.parametrize("argv, head", [
+    # 7,776 rows are far more than a pipe holds, so `pairs` is still
+    # writing when its reader stops after the first line
+    (("pairs", "x1^7 + x2^7 + x3^7 + x4^7 + x5^7", "--group", "trivial"),
+     [b"1/1(0,0,0,0,0) | 1/7(1,1,1,1,1) | 1\n"]),
+    # a reader gone before the first line: buffered output meets the closed
+    # pipe only when it is flushed
+    (("info", "x^3"), []),
+])
+def test_a_reader_closing_the_pipe_early_is_success(argv, head):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbefun", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    read = [proc.stdout.readline() for _ in head]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert read == head
+    assert err == b""
 
 
 def test_corpus_unchanged_under_optimize(capsys):

@@ -35,10 +35,10 @@ ERRORS = (
     "VerificationError",
 )
 
-# the other 43 names the top level used to re-export, by the module that defines them
+# the other 42 names the top level used to re-export, by the module that defines them
 MOVED = {
     "basis_engine": (
-        "PairTable SectorContribution atom_basis degree_counts "
+        "SectorContribution atom_basis degree_counts "
         "hodge_table milnor_basis pair_table psi psi_structure_ok sectors "
         "spectrum_identity_holds"
     ),

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbefun import (
@@ -32,6 +32,7 @@ from orbefun.symmetry import (
 )
 import reference_engines as ref
 from strategies import symmetric_pairs
+from test_basis_engine import _pair
 from test_series_engine import GROUPS, LADDER, _sides
 
 F = Fraction
@@ -182,6 +183,9 @@ def test_group_element_matches_fraction_tuples(lists):
 
 @settings(max_examples=25, deadline=None)
 @given(symmetric_pairs())
+# a lattice whose elements, listed by their coefficients on its rows, come
+# out of order: 1/2(1,1) before 1/2(1,0)
+@example(_pair("x^4 + y^4", "1/4(1,1), 1/2(0,1)"))
 def test_sorted_elements_follow_fraction_order(fG):
     f, G = fG
     for H in (G, gf_group(f)):

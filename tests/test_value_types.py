@@ -1,5 +1,5 @@
 """The value types: immutable, equal by their fields, hashed by them except
-the three result tables, which are unhashable (the corpus records equal
+the two result tables, which are unhashable (the corpus records equal
 only themselves), and GroupElement ordered only against its own class."""
 
 import atexit
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 import orbefun
 from orbefun import DomainError, parse_polynomial, transpose
-from orbefun.basis_engine import efunction_basis, hodge_table, pair_table, sectors
+from orbefun.basis_engine import efunction_basis, hodge_table, sectors
 from orbefun.cli import main
 from orbefun.corpus import CorpusEntry, run_entry
 from orbefun.efunction import BiExpPolynomial, HodgeTable
@@ -84,7 +84,6 @@ def _one_of_each_value_type():
         sectors(f, G)[0],
         efunction_basis(f, G),
         hodge_table(f, G),
-        pair_table(f, G),
         entry,
         run_entry(entry),
     )
@@ -94,7 +93,7 @@ def test_every_value_type_is_immutable():
     values = _one_of_each_value_type()
     assert sorted(type(v).__name__ for v in values) == sorted(
         "Atom WeightSystem InvertiblePolynomial AbelianSubgroup GroupElement "
-        "SectorContribution BiExpPolynomial HodgeTable PairTable CorpusEntry EntryResult".split()
+        "SectorContribution BiExpPolynomial HodgeTable CorpusEntry EntryResult".split()
     )
     for value in values:
         for name in type(value)._fields:
@@ -149,7 +148,7 @@ def test_values_compare_only_with_their_own_class():
             assert value != other
     unhashable = [v for v in values if type(v).__hash__ is None]
     assert sorted(type(v).__name__ for v in unhashable) == [
-        "BiExpPolynomial", "HodgeTable", "PairTable",
+        "BiExpPolynomial", "HodgeTable",
     ]
     for value in unhashable:
         with pytest.raises(TypeError):
